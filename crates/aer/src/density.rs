@@ -225,7 +225,7 @@ impl DensityMatrixSimulator {
         let _span = qukit_obs::span!("aer.density_run", qubits = circuit.num_qubits());
         qukit_obs::counter_inc("qukit_aer_density_runs_total");
         let ideal = self.noise.as_ref().is_none_or(NoiseModel::is_ideal);
-        if self.parallel.is_active() && ideal {
+        if ideal {
             return self.run_fused(circuit);
         }
         let mut rho = DensityMatrix::new(circuit.num_qubits());
@@ -258,22 +258,10 @@ impl DensityMatrixSimulator {
         Ok(rho)
     }
 
-    /// Noiseless fast path: fuse the gate stream once and run the chunked
+    /// Noiseless evolution: the gate stream runs once through the chunked
     /// two-sided kernels over the flat `4^n` array.
     fn run_fused(&self, circuit: &QuantumCircuit) -> Result<DensityMatrix> {
-        let mut gates = Vec::new();
-        for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(_) if inst.condition.is_none() => gates.push(inst.clone()),
-                Operation::Barrier => {}
-                other => {
-                    return Err(AerError::UnsupportedInstruction {
-                        name: other.name().to_owned(),
-                        simulator: "density matrix simulator",
-                    })
-                }
-            }
-        }
+        let gates = crate::parallel::unitary_gates(circuit, "density matrix simulator")?;
         let n = circuit.num_qubits();
         let mut rho = DensityMatrix::new(n);
         let mut tally = crate::simulator::GateTally::default();

@@ -41,6 +41,7 @@ pub mod simd;
 pub mod simulator;
 pub mod stabilizer;
 pub mod statevector;
+mod terminal;
 
 pub use counts::Counts;
 pub use density::{DensityMatrix, DensityMatrixSimulator};

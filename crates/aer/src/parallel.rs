@@ -1,8 +1,9 @@
 //! Parallel & fused statevector execution.
 //!
-//! This module is the chunked multi-threaded kernel layer behind
-//! [`crate::simulator::QasmSimulator`] (sampled and trajectory paths),
-//! [`ParallelStatevectorSimulator`] and the density-matrix engine:
+//! This module is the chunked multi-threaded kernel layer behind every
+//! noiseless dense evolution: [`crate::simulator::QasmSimulator`]'s
+//! evolve-once sampled path, [`crate::simulator::StatevectorSimulator`],
+//! [`ParallelStatevectorSimulator`] and the ideal density-matrix engine:
 //!
 //! * **Chunking** — the `2^n` amplitude array is partitioned into
 //!   cache-sized chunks of `2^chunk_qubits` entries; each gate pass is
@@ -75,18 +76,21 @@ pub(crate) const TRAJECTORY_BATCH: usize = 32;
 
 /// Configuration for the parallel execution layer.
 ///
-/// The [`Default`] implementation reads the process environment
-/// (`QUKIT_THREADS`, `QUKIT_CHUNK_QUBITS`, `QUKIT_FUSION`), so exporting
-/// `QUKIT_THREADS=4` routes every default-constructed simulator through
-/// the parallel path — this is how CI exercises it across the whole test
-/// suite.
+/// Every dense statevector evolution runs the kernels of this module; the
+/// configuration only chooses how. The [`Default`] implementation reads
+/// the process environment (`QUKIT_THREADS`, `QUKIT_CHUNK_QUBITS`,
+/// `QUKIT_FUSION`, `QUKIT_SIMD`): one thread with fusion on unless told
+/// otherwise, so exporting `QUKIT_THREADS=4` spreads every
+/// default-constructed simulator over four workers — this is how CI
+/// exercises the threaded path across the whole test suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads (1 = serial kernels; clamped to [`MAX_THREADS`]).
     pub threads: usize,
     /// log2 of the chunk size in amplitudes.
     pub chunk_qubits: usize,
-    /// Whether the gate-fusion pre-pass runs before dispatch.
+    /// Whether the gate-fusion pre-pass runs before dispatch. `false`
+    /// (`QUKIT_FUSION=off`) runs the same kernels one gate at a time.
     pub fusion: bool,
     /// Whether the SIMD lane kernels and cache-blocked phase traversal
     /// are used (`QUKIT_SIMD`, default on). `false` selects the scalar
@@ -102,8 +106,8 @@ impl Default for ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Plain serial execution: one thread, no fusion. This reproduces the
-    /// legacy engine behavior exactly (same kernels, same RNG stream).
+    /// One thread, no fusion: the same kernels applied gate by gate, the
+    /// configuration `QUKIT_FUSION=off` selects on a single thread.
     pub fn serial() -> Self {
         Self { threads: 1, chunk_qubits: DEFAULT_CHUNK_QUBITS, fusion: false, simd: simd_default() }
     }
@@ -120,22 +124,14 @@ impl ParallelConfig {
 
     /// Reads `QUKIT_THREADS` / `QUKIT_CHUNK_QUBITS` / `QUKIT_FUSION` /
     /// `QUKIT_SIMD` from the environment; unset or unparsable variables
-    /// fall back to serial defaults (fusion defaults to on when
-    /// `QUKIT_THREADS` > 1; SIMD defaults to on).
+    /// fall back to one thread, the default chunk size, fusion on and
+    /// SIMD on.
     pub fn from_env() -> Self {
         let threads = env_usize("QUKIT_THREADS").unwrap_or(1).max(1);
         let chunk_qubits = env_usize("QUKIT_CHUNK_QUBITS").unwrap_or(DEFAULT_CHUNK_QUBITS);
-        let fusion = match std::env::var("QUKIT_FUSION") {
-            Ok(value) => parse_bool_flag(&value).unwrap_or(threads > 1),
-            Err(_) => threads > 1,
-        };
+        let fusion =
+            std::env::var("QUKIT_FUSION").ok().and_then(|v| parse_bool_flag(&v)).unwrap_or(true);
         Self { threads, chunk_qubits, fusion, simd: simd_default() }
-    }
-
-    /// `true` when this config differs from the legacy serial engine, i.e.
-    /// the fused/parallel code paths should be used.
-    pub fn is_active(&self) -> bool {
-        self.threads > 1 || self.fusion
     }
 
     /// The worker count actually used for a state of `len` amplitudes:
@@ -181,15 +177,6 @@ pub(crate) fn batch_seed(seed: u64, batch: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Execution statistics from one kernel sweep.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ExecStats {
-    /// Work units (chunks) processed across all workers.
-    pub chunks: u64,
-    /// Sum of per-worker wall time inside the sweep.
-    pub worker_seconds: f64,
 }
 
 /// A 2×2 pair update, pre-classified by entry structure so the hot loop
@@ -946,23 +933,22 @@ fn plan_phases(kernels: &[Kernel], len: usize, chunk_len: usize, simd: bool) -> 
 /// Applies a kernel list to the amplitude array, serially or with a
 /// scoped barrier-synchronized worker pool, after planning the kernels
 /// into cache-blocked phases.
-fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelConfig) -> ExecStats {
+fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelConfig) {
     let len = state.len();
     let chunk_len = config.chunk_len();
     let threads = config.effective_threads(len);
     let simd = config.simd;
     let scratch_dim = kernels.iter().map(Kernel::dim).max().unwrap_or(1);
-    let mut stats = ExecStats::default();
     if kernels.is_empty() {
-        return stats;
+        return;
     }
     let plans = plan_phases(kernels, len, chunk_len, simd);
     let tile_len =
         if plans.iter().any(|p| matches!(p, PhasePlan::Tiles { .. })) { chunk_len } else { 0 };
 
     let amps = RawAmps { ptr: state.as_mut_ptr() };
+    let mut chunks = 0u64;
     if threads <= 1 {
-        let start = Instant::now();
         let mut scratch = vec![Complex::ZERO; scratch_dim];
         let mut tile = vec![Complex::ZERO; tile_len];
         for plan in &plans {
@@ -981,10 +967,9 @@ fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelCon
                         &mut tile,
                     )
                 };
-                stats.chunks += 1;
+                chunks += 1;
             }
         }
-        stats.worker_seconds = start.elapsed().as_secs_f64();
     } else {
         let barrier = Barrier::new(threads);
         let amps_ref = &amps;
@@ -1031,9 +1016,8 @@ fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelCon
                 .collect();
             handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
         });
-        for (chunks, seconds) in results {
-            stats.chunks += chunks;
-            stats.worker_seconds += seconds;
+        for (worker_chunks, seconds) in results {
+            chunks += worker_chunks;
             qukit_obs::observe_duration(
                 "qukit_aer_parallel_worker_seconds",
                 std::time::Duration::from_secs_f64(seconds),
@@ -1063,8 +1047,7 @@ fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelCon
         qukit_obs::counter_add("qukit_aer_blocked_phases_total", blocked);
         qukit_obs::counter_add("qukit_aer_blocked_tiles_total", tiles);
     }
-    qukit_obs::counter_add("qukit_aer_parallel_chunks_total", stats.chunks);
-    stats
+    qukit_obs::counter_add("qukit_aer_parallel_chunks_total", chunks);
 }
 
 /// Fuses and applies a stream of plain gate instructions to the state,
@@ -1199,9 +1182,6 @@ impl ParallelStatevectorSimulator {
     ///
     /// Same conditions as [`crate::simulator::StatevectorSimulator::run`].
     pub fn run(&self, circuit: &QuantumCircuit) -> Result<Statevector> {
-        if circuit.num_qubits() > 30 {
-            return Err(AerError::TooManyQubits { requested: circuit.num_qubits(), max: 30 });
-        }
         let _span = qukit_obs::span!(
             "aer.parallel_statevector_run",
             qubits = circuit.num_qubits(),
@@ -1210,28 +1190,56 @@ impl ParallelStatevectorSimulator {
             simd = if self.config.simd { "on" } else { "off" },
         );
         qukit_obs::counter_inc("qukit_aer_parallel_runs_total");
-        let mut gates: Vec<Instruction> = Vec::new();
-        for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(_) if inst.condition.is_none() => gates.push(inst.clone()),
-                Operation::Barrier => {}
-                other => {
-                    return Err(AerError::UnsupportedInstruction {
-                        name: other.name().to_owned(),
-                        simulator: "parallel statevector simulator",
-                    })
-                }
+        evolve_unitary(circuit, &self.config, "parallel statevector simulator")
+    }
+}
+
+/// The gates of a unitary circuit (barriers dropped), ready for
+/// [`evolve_fused`].
+///
+/// # Errors
+///
+/// Returns [`AerError::UnsupportedInstruction`], naming `simulator`, for
+/// measurement, reset or conditioned gates.
+pub(crate) fn unitary_gates(
+    circuit: &QuantumCircuit,
+    simulator: &'static str,
+) -> Result<Vec<Instruction>> {
+    let mut gates = Vec::new();
+    for inst in circuit.instructions() {
+        match &inst.op {
+            Operation::Gate(_) if inst.condition.is_none() => gates.push(inst.clone()),
+            Operation::Barrier => {}
+            other => {
+                return Err(AerError::UnsupportedInstruction {
+                    name: other.name().to_owned(),
+                    simulator,
+                })
             }
         }
-        let mut amps = vec![Complex::ZERO; 1usize << circuit.num_qubits()];
-        amps[0] = Complex::ONE;
-        let mut tally = GateTally::default();
-        evolve_fused(&mut amps, &gates, &self.config, &mut tally)?;
-        tally.flush("qukit_aer_statevector_gates_total");
-        let mut state = Statevector::from_amplitudes(amps);
-        state.apply_global_phase(circuit.global_phase());
-        Ok(state)
     }
+    Ok(gates)
+}
+
+/// Evolves `|0…0⟩` through a unitary circuit on the fused kernels and
+/// applies its global phase.
+pub(crate) fn evolve_unitary(
+    circuit: &QuantumCircuit,
+    config: &ParallelConfig,
+    simulator: &'static str,
+) -> Result<Statevector> {
+    if circuit.num_qubits() > 30 {
+        return Err(AerError::TooManyQubits { requested: circuit.num_qubits(), max: 30 });
+    }
+    let gates = unitary_gates(circuit, simulator)?;
+    let mut amps = vec![Complex::ZERO; 1usize << circuit.num_qubits()];
+    amps[0] = Complex::ONE;
+    let mut tally = GateTally::default();
+    evolve_fused(&mut amps, &gates, config, &mut tally)?;
+    tally.flush("qukit_aer_statevector_gates_total");
+    let mut state = Statevector::from_amplitudes(amps);
+    state.apply_global_phase(circuit.global_phase());
+    Ok(state)
 }
 
 #[cfg(test)]
@@ -1508,11 +1516,8 @@ mod tests {
         assert_eq!(parse_bool_flag(" ON "), Some(true));
         assert_eq!(parse_bool_flag("false"), Some(false));
         assert_eq!(parse_bool_flag("banana"), None);
-        assert!(!ParallelConfig::serial().is_active());
-        assert!(ParallelConfig::with_threads(4).is_active());
-        assert!(
-            ParallelConfig { threads: 1, chunk_qubits: 4, fusion: true, simd: true }.is_active()
-        );
+        assert!(!ParallelConfig::serial().fusion);
+        assert!(ParallelConfig::with_threads(4).fusion);
         // One chunk ⇒ serial execution regardless of requested threads.
         assert_eq!(ParallelConfig::with_threads(8).effective_threads(16), 1);
         assert_eq!(

@@ -13,6 +13,7 @@ use crate::error::{AerError, Result};
 use crate::noise::NoiseModel;
 use crate::parallel::{self, ParallelConfig};
 use crate::statevector::Statevector;
+use crate::terminal::{self, PerShotReason};
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::complex::Complex;
 use qukit_terra::instruction::{Instruction, Operation};
@@ -122,55 +123,39 @@ impl QasmSimulator {
     /// Executes `shots` repetitions of `circuit` and histograms the
     /// classical outcomes.
     ///
-    /// When the circuit is measurement-terminal (no reset, no conditional,
-    /// all measurements after the last gate) and the simulator is
-    /// noiseless, the state is evolved once and sampled `shots` times;
-    /// otherwise each shot is an independent trajectory.
+    /// A noiseless circuit whose measurements are terminal (see
+    /// `terminal::per_shot_reason`) is evolved once through the fused
+    /// kernels and its terminal distribution sampled `shots` times: one
+    /// probability CDF, then one binary search per shot. Anything else
+    /// runs one trajectory per shot. The `aer.qasm_run` span records which
+    /// path ran and, for trajectories, why.
     ///
     /// # Errors
     ///
     /// Returns an error when the circuit is too wide or uses more than 64
     /// classical bits.
     pub fn run(&self, circuit: &QuantumCircuit, shots: usize) -> Result<Counts> {
-        if circuit.num_qubits() > MAX_QUBITS {
-            return Err(AerError::TooManyQubits {
-                requested: circuit.num_qubits(),
-                max: MAX_QUBITS,
-            });
-        }
-        if circuit.num_clbits() > 64 {
-            return Err(AerError::TooManyClbits { requested: circuit.num_clbits() });
-        }
+        check_width(circuit)?;
         let mut rng = match self.seed {
             Some(seed) => StdRng::seed_from_u64(seed),
             None => StdRng::from_entropy(),
         };
-        let ideal = self.noise.as_ref().is_none_or(NoiseModel::is_ideal);
-        let sampled = ideal && is_measurement_terminal(circuit);
-        let _span = qukit_obs::span!(
-            "aer.qasm_run",
-            qubits = circuit.num_qubits(),
-            shots = shots,
-            mode = if sampled { "sampled" } else { "trajectory" },
-        );
+        let reason = self.per_shot_reason(circuit);
+        let _span = terminal::run_span("aer.qasm_run", circuit.num_qubits(), shots, reason);
         qukit_obs::counter_inc("qukit_aer_qasm_runs_total");
         qukit_obs::counter_add("qukit_aer_shots_total", shots as u64);
-        if sampled {
-            if self.parallel.is_active() {
-                let base_seed = self.seed.unwrap_or_else(|| rng.gen());
-                self.run_sampled_parallel(circuit, shots, base_seed)
-            } else {
-                self.run_sampled(circuit, shots, &mut rng)
-            }
+        if reason.is_none() {
+            let base_seed = self.seed.unwrap_or_else(|| rng.gen());
+            self.run_sampled(circuit, shots, base_seed, &mut Vec::new())
         } else if self.parallel.threads > 1 && shots > 1 {
             let base_seed = self.seed.unwrap_or_else(|| rng.gen());
-            self.run_trajectories_batched(circuit, shots, base_seed)
+            Ok(self.run_trajectories_batched(circuit, shots, base_seed))
         } else {
             let mut tally = GateTally::default();
             let mut counts = Counts::new(circuit.num_clbits());
+            let mut state = Statevector::new(circuit.num_qubits());
             for _ in 0..shots {
-                let outcome = self.run_trajectory(circuit, &mut rng, &mut tally)?;
-                counts.record(outcome);
+                counts.record(self.run_trajectory(circuit, &mut state, &mut rng, &mut tally));
             }
             tally.flush("qukit_aer_statevector_gates_total");
             Ok(counts)
@@ -195,48 +180,35 @@ impl QasmSimulator {
             qukit_obs::span!("aer.qasm_run_batch", circuits = circuits.len(), shots = shots,);
         qukit_obs::counter_inc("qukit_aer_batch_runs_total");
         let mut amps: Vec<Complex> = Vec::new();
-        let mut results = Vec::with_capacity(circuits.len());
-        for circuit in circuits {
-            if circuit.num_qubits() > MAX_QUBITS {
-                return Err(AerError::TooManyQubits {
-                    requested: circuit.num_qubits(),
-                    max: MAX_QUBITS,
-                });
-            }
-            if circuit.num_clbits() > 64 {
-                return Err(AerError::TooManyClbits { requested: circuit.num_clbits() });
-            }
-            let ideal = self.noise.as_ref().is_none_or(NoiseModel::is_ideal);
-            if ideal && is_measurement_terminal(circuit) && self.parallel.is_active() {
+        circuits
+            .iter()
+            .map(|circuit| {
+                check_width(circuit)?;
+                if self.per_shot_reason(circuit).is_some() {
+                    return self.run(circuit, shots);
+                }
                 qukit_obs::counter_inc("qukit_aer_qasm_runs_total");
                 qukit_obs::counter_add("qukit_aer_shots_total", shots as u64);
-                let base_seed = match self.seed {
-                    Some(seed) => seed,
-                    None => rand::thread_rng().gen(),
-                };
-                results.push(self.run_sampled_parallel_into(circuit, shots, base_seed, &mut amps)?);
-            } else {
-                results.push(self.run(circuit, shots)?);
-            }
+                let base_seed = self.seed.unwrap_or_else(|| rand::thread_rng().gen());
+                self.run_sampled(circuit, shots, base_seed, &mut amps)
+            })
+            .collect()
+    }
+
+    /// Why `circuit` must run shot by shot on this simulator, if it must.
+    fn per_shot_reason(&self, circuit: &QuantumCircuit) -> Option<PerShotReason> {
+        if self.noise.as_ref().is_some_and(|noise| !noise.is_ideal()) {
+            Some(PerShotReason::Noise)
+        } else {
+            terminal::per_shot_reason(circuit)
         }
-        Ok(results)
     }
 
-    /// Parallel fast path: fused chunked evolution, then batched CDF
-    /// sampling with per-batch RNG streams. For a fixed seed the counts
-    /// are identical at every thread count and chunk size.
-    fn run_sampled_parallel(
-        &self,
-        circuit: &QuantumCircuit,
-        shots: usize,
-        base_seed: u64,
-    ) -> Result<Counts> {
-        self.run_sampled_parallel_into(circuit, shots, base_seed, &mut Vec::new())
-    }
-
-    /// [`QasmSimulator::run_sampled_parallel`] with a caller-provided
-    /// amplitude buffer (reused across the bindings of a batch).
-    fn run_sampled_parallel_into(
+    /// Evolve once through the fused kernels into `amps` (a buffer reused
+    /// across the bindings of a batch), then draw every shot from the
+    /// terminal CDF in per-batch seeded RNG streams. For a fixed seed the
+    /// counts are identical at every thread count and chunk size.
+    fn run_sampled(
         &self,
         circuit: &QuantumCircuit,
         shots: usize,
@@ -259,7 +231,7 @@ impl QasmSimulator {
         let mut tally = GateTally::default();
         parallel::evolve_fused(amps, &gates, &self.parallel, &mut tally)?;
         tally.flush("qukit_aer_statevector_gates_total");
-        let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "parallel")
+        let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "cdf")
             .with_metric("qukit_aer_sample_seconds");
         let cdf = parallel::probability_cdf(amps);
         let samples = parallel::sample_indices(&cdf, shots, base_seed, self.parallel.threads);
@@ -278,29 +250,30 @@ impl QasmSimulator {
 
     /// Shot-parallel trajectories: shots are split into fixed-size batches
     /// with per-batch seeded RNG streams (thread-count-invariant for a
-    /// fixed seed); workers claim batches in a fixed stride.
+    /// fixed seed); workers claim batches in a fixed stride, and each
+    /// batch reuses one amplitude buffer for all its shots.
     fn run_trajectories_batched(
         &self,
         circuit: &QuantumCircuit,
         shots: usize,
         base_seed: u64,
-    ) -> Result<Counts> {
+    ) -> Counts {
         let batch_size = parallel::TRAJECTORY_BATCH;
         let batches = shots.div_ceil(batch_size);
         let threads = self.parallel.threads.clamp(1, parallel::MAX_THREADS).min(batches);
-        let run_batch = |batch: usize| -> Result<(Counts, GateTally)> {
+        let run_batch = |batch: usize| -> (Counts, GateTally) {
             let lo = batch * batch_size;
             let hi = ((batch + 1) * batch_size).min(shots);
             let mut rng = StdRng::seed_from_u64(parallel::batch_seed(base_seed, batch as u64));
             let mut counts = Counts::new(circuit.num_clbits());
             let mut tally = GateTally::default();
+            let mut state = Statevector::new(circuit.num_qubits());
             for _ in lo..hi {
-                let outcome = self.run_trajectory(circuit, &mut rng, &mut tally)?;
-                counts.record(outcome);
+                counts.record(self.run_trajectory(circuit, &mut state, &mut rng, &mut tally));
             }
-            Ok((counts, tally))
+            (counts, tally)
         };
-        let results: Vec<Result<(Counts, GateTally)>> = if threads <= 1 {
+        let results: Vec<(Counts, GateTally)> = if threads <= 1 {
             (0..batches).map(run_batch).collect()
         } else {
             std::thread::scope(|scope| {
@@ -326,65 +299,28 @@ impl QasmSimulator {
         };
         let mut counts = Counts::new(circuit.num_clbits());
         let mut tally = GateTally::default();
-        for result in results {
-            let (batch_counts, batch_tally) = result?;
+        for (batch_counts, batch_tally) in results {
             for (outcome, n) in batch_counts.iter() {
                 counts.record_n(outcome, n);
             }
             tally.record_n(batch_tally.gates, batch_tally.amplitudes);
         }
         tally.flush("qukit_aer_statevector_gates_total");
-        Ok(counts)
-    }
-
-    /// Fast path: evolve once, sample the terminal distribution.
-    fn run_sampled(
-        &self,
-        circuit: &QuantumCircuit,
-        shots: usize,
-        rng: &mut StdRng,
-    ) -> Result<Counts> {
-        let mut state = Statevector::new(circuit.num_qubits());
-        let dim = 1u64 << circuit.num_qubits();
-        let mut tally = GateTally::default();
-        let mut measures: Vec<(usize, usize)> = Vec::new();
-        for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(g) => {
-                    state.apply_gate(*g, &inst.qubits);
-                    tally.record(dim);
-                }
-                Operation::Measure => measures.push((inst.qubits[0], inst.clbits[0])),
-                Operation::Barrier => {}
-                Operation::Reset => unreachable!("terminal circuits have no reset"),
-            }
-        }
-        tally.flush("qukit_aer_statevector_gates_total");
-        let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "sequential")
-            .with_metric("qukit_aer_sample_seconds");
-        let mut counts = Counts::new(circuit.num_clbits());
-        for _ in 0..shots {
-            let basis = state.sample(rng);
-            let mut outcome = 0u64;
-            for &(q, c) in &measures {
-                if (basis >> q) & 1 == 1 {
-                    outcome |= 1 << c;
-                }
-            }
-            counts.record(outcome);
-        }
-        Ok(counts)
+        counts
     }
 
     /// Full trajectory: one shot with mid-circuit measurement, reset,
-    /// conditionals and stochastic noise.
+    /// conditionals and stochastic noise. `state` is the caller's
+    /// amplitude buffer, reset to `|0…0⟩` here so shots share one
+    /// allocation.
     fn run_trajectory(
         &self,
         circuit: &QuantumCircuit,
+        state: &mut Statevector,
         rng: &mut StdRng,
         tally: &mut GateTally,
-    ) -> Result<u64> {
-        let mut state = Statevector::new(circuit.num_qubits());
+    ) -> u64 {
+        state.reset_to_zero();
         let dim = 1u64 << circuit.num_qubits();
         let mut creg = 0u64;
         let readout = self.noise.as_ref().and_then(|n| n.readout_error());
@@ -407,7 +343,7 @@ impl QasmSimulator {
                     if let Some(noise) = &self.noise {
                         if let Some(error) = noise.error_for(g.name(), &inst.qubits) {
                             if error.num_qubits() == inst.qubits.len() {
-                                error.apply_stochastic(&mut state, &inst.qubits, rng);
+                                error.apply_stochastic(state, &inst.qubits, rng);
                             }
                         }
                     }
@@ -427,49 +363,20 @@ impl QasmSimulator {
                 Operation::Barrier => {}
             }
         }
-        Ok(creg)
+        creg
     }
 }
 
-/// Returns `true` when measurement is effectively terminal: no
-/// conditional or reset instructions, each measured qubit is never
-/// touched again after its measure, and no classical bit is written
-/// twice. Gates on *other* qubits may follow a measure — a measurement
-/// commutes with operations on disjoint qubits, so sampling the terminal
-/// distribution once is exact. Schedulers and device transpilers
-/// routinely interleave measures with tail gates this way; recognising
-/// the pattern keeps transpiled circuits on the evolve-once fast path
-/// instead of paying one full statevector evolution per shot.
-fn is_measurement_terminal(circuit: &QuantumCircuit) -> bool {
-    // Qubit and clbit counts are bounded well below 64 at every call
-    // site (MAX_QUBITS and the 64-clbit admission check), so bitmasks
-    // suffice.
-    let mut measured_qubits = 0u64;
-    let mut written_clbits = 0u64;
-    for inst in circuit.instructions() {
-        if inst.condition.is_some() {
-            return false;
-        }
-        match inst.op {
-            Operation::Measure => {
-                let qubit = 1u64 << inst.qubits[0];
-                let clbit = 1u64 << inst.clbits[0];
-                if measured_qubits & qubit != 0 || written_clbits & clbit != 0 {
-                    return false;
-                }
-                measured_qubits |= qubit;
-                written_clbits |= clbit;
-            }
-            Operation::Reset => return false,
-            Operation::Gate(_) => {
-                if inst.qubits.iter().any(|&q| measured_qubits & (1u64 << q) != 0) {
-                    return false;
-                }
-            }
-            Operation::Barrier => {}
-        }
+/// Rejects circuits wider than the dense limit or with more clbits than
+/// one `u64` outcome holds.
+fn check_width(circuit: &QuantumCircuit) -> Result<()> {
+    if circuit.num_qubits() > MAX_QUBITS {
+        return Err(AerError::TooManyQubits { requested: circuit.num_qubits(), max: MAX_QUBITS });
     }
-    true
+    if circuit.num_clbits() > 64 {
+        return Err(AerError::TooManyClbits { requested: circuit.num_clbits() });
+    }
+    Ok(())
 }
 
 /// Exact statevector simulator for unitary circuits.
@@ -499,7 +406,8 @@ impl StatevectorSimulator {
         Self
     }
 
-    /// Computes the exact final state of a unitary circuit.
+    /// Computes the exact final state of a unitary circuit on the fused
+    /// kernels, configured by [`ParallelConfig::from_env`].
     ///
     /// # Errors
     ///
@@ -507,35 +415,9 @@ impl StatevectorSimulator {
     /// or conditioned gates, and [`AerError::TooManyQubits`] for circuits
     /// beyond the dense limit.
     pub fn run(&self, circuit: &QuantumCircuit) -> Result<Statevector> {
-        if circuit.num_qubits() > MAX_QUBITS {
-            return Err(AerError::TooManyQubits {
-                requested: circuit.num_qubits(),
-                max: MAX_QUBITS,
-            });
-        }
         let _span = qukit_obs::span!("aer.statevector_run", qubits = circuit.num_qubits());
         qukit_obs::counter_inc("qukit_aer_statevector_runs_total");
-        let mut state = Statevector::new(circuit.num_qubits());
-        let dim = 1u64 << circuit.num_qubits();
-        let mut tally = GateTally::default();
-        for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(g) if inst.condition.is_none() => {
-                    state.apply_gate(*g, &inst.qubits);
-                    tally.record(dim);
-                }
-                Operation::Barrier => {}
-                other => {
-                    return Err(AerError::UnsupportedInstruction {
-                        name: other.name().to_owned(),
-                        simulator: "statevector simulator",
-                    })
-                }
-            }
-        }
-        tally.flush("qukit_aer_statevector_gates_total");
-        state.apply_global_phase(circuit.global_phase());
-        Ok(state)
+        parallel::evolve_unitary(circuit, &ParallelConfig::from_env(), "statevector simulator")
     }
 }
 
@@ -578,6 +460,10 @@ mod tests {
     use super::*;
     use crate::noise::{NoiseModel, QuantumError, ReadoutError};
     use qukit_terra::gate::Gate;
+
+    fn is_measurement_terminal(circuit: &QuantumCircuit) -> bool {
+        terminal::per_shot_reason(circuit).is_none()
+    }
 
     fn bell_measured() -> QuantumCircuit {
         let mut circ = QuantumCircuit::with_size(2, 2);
@@ -630,6 +516,34 @@ mod tests {
         for (circ, counts) in circuits.iter().zip(&batch) {
             assert_eq!(&serial.run(circ, 64).unwrap(), counts);
         }
+    }
+
+    #[test]
+    fn default_counts_match_the_scalar_kernels_bitwise() {
+        // 14 qubits: past one default chunk, so the SIMD side runs the
+        // cache-blocked tiles. The scalar kernels (`QUKIT_SIMD=off`) must
+        // yield the same amplitudes bit for bit, hence the same counts.
+        let n = 14;
+        let mut circ = QuantumCircuit::with_size(n, n);
+        for q in 0..n {
+            circ.h(q).unwrap();
+            circ.rz(0.1 + 0.2 * q as f64, q).unwrap();
+        }
+        for q in 0..n - 1 {
+            circ.cx(q, q + 1).unwrap();
+            circ.ry(0.3, n - 1 - q).unwrap();
+        }
+        circ.ccx(0, 7, 13).unwrap();
+        for q in 0..n {
+            circ.measure(q, q).unwrap();
+        }
+        let default = QasmSimulator::new().with_seed(5).run(&circ, 2048).unwrap();
+        let scalar = QasmSimulator::new()
+            .with_seed(5)
+            .with_parallel(ParallelConfig { simd: false, ..ParallelConfig::from_env() })
+            .run(&circ, 2048)
+            .unwrap();
+        assert_eq!(default, scalar);
     }
 
     #[test]

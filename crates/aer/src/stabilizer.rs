@@ -13,6 +13,7 @@
 
 use crate::counts::Counts;
 use crate::error::{AerError, Result};
+use crate::terminal;
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::gate::Gate;
 use qukit_terra::instruction::Operation;
@@ -37,7 +38,7 @@ use rand::{Rng, SeedableRng};
 /// let b = state.measure(1, &mut rng);
 /// assert_eq!(a, b, "Bell pair is perfectly correlated");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StabilizerState {
     num_qubits: usize,
     words: usize,
@@ -122,44 +123,16 @@ impl StabilizerState {
         match gate {
             Gate::I => {}
             Gate::H => self.h(qubits[0]),
-            Gate::S => self.s(qubits[0]),
-            Gate::Sdg => {
-                self.s(qubits[0]);
-                self.s(qubits[0]);
-                self.s(qubits[0]);
-            }
-            Gate::X => {
-                // X = H S S H, but direct sign flip is O(n): X flips rows
-                // with Z on q.
+            Gate::S => self.s(qubits[0], false),
+            Gate::Sdg => self.s(qubits[0], true),
+            // A Pauli only flips the sign of the rows it anticommutes with.
+            Gate::X => self.flip_signs(qubits[0], |_, z| z),
+            Gate::Y => self.flip_signs(qubits[0], |x, z| x ^ z),
+            Gate::Z => self.flip_signs(qubits[0], |x, _| x),
+            Gate::Sx | Gate::Sxdg => {
+                // √X = H S H, √X† = H S† H.
                 self.h(qubits[0]);
-                self.s(qubits[0]);
-                self.s(qubits[0]);
-                self.h(qubits[0]);
-            }
-            Gate::Z => {
-                self.s(qubits[0]);
-                self.s(qubits[0]);
-            }
-            Gate::Y => {
-                // Y ∝ S X S†.
-                self.s(qubits[0]);
-                self.s(qubits[0]);
-                self.h(qubits[0]);
-                self.s(qubits[0]);
-                self.s(qubits[0]);
-                self.h(qubits[0]);
-            }
-            Gate::Sx => {
-                // √X = H S H.
-                self.h(qubits[0]);
-                self.s(qubits[0]);
-                self.h(qubits[0]);
-            }
-            Gate::Sxdg => {
-                self.h(qubits[0]);
-                self.s(qubits[0]);
-                self.s(qubits[0]);
-                self.s(qubits[0]);
+                self.s(qubits[0], matches!(gate, Gate::Sxdg));
                 self.h(qubits[0]);
             }
             Gate::CX => self.cx(qubits[0], qubits[1]),
@@ -169,11 +142,9 @@ impl StabilizerState {
                 self.h(qubits[1]);
             }
             Gate::CY => {
-                self.s(qubits[1]);
-                self.s(qubits[1]);
-                self.s(qubits[1]);
+                self.s(qubits[1], true);
                 self.cx(qubits[0], qubits[1]);
-                self.s(qubits[1]);
+                self.s(qubits[1], false);
             }
             Gate::Swap => {
                 self.cx(qubits[0], qubits[1]);
@@ -203,12 +174,13 @@ impl StabilizerState {
         }
     }
 
-    fn s(&mut self, q: usize) {
-        let rows = 2 * self.num_qubits;
-        for row in 0..rows {
+    /// `S` (`X → Y`, `Y → −X`) or, with `dagger`, `S†` (`X → −Y`,
+    /// `Y → X`).
+    fn s(&mut self, q: usize, dagger: bool) {
+        for row in 0..2 * self.num_qubits {
             let xv = self.get_x(row, q);
             let zv = self.get_z(row, q);
-            if xv && zv {
+            if xv && zv != dagger {
                 self.r[row] ^= 1;
             }
             self.set_z(row, q, xv ^ zv);
@@ -231,27 +203,42 @@ impl StabilizerState {
         }
     }
 
-    /// `rowsum(h, i)`: row `h` ← row `h` · row `i` with exact phase
-    /// tracking (the `g` function of Aaronson-Gottesman).
-    fn rowsum(&mut self, h: usize, i: usize) {
-        let mut phase: i32 = 2 * self.r[h] as i32 + 2 * self.r[i] as i32;
-        for q in 0..self.num_qubits {
-            let x1 = self.get_x(i, q) as i32;
-            let z1 = self.get_z(i, q) as i32;
-            let x2 = self.get_x(h, q) as i32;
-            let z2 = self.get_z(h, q) as i32;
-            // g(x1,z1,x2,z2): exponent of i when multiplying Paulis.
-            let g = match (x1, z1) {
-                (0, 0) => 0,
-                (1, 1) => z2 - x2,
-                (1, 0) => z2 * (2 * x2 - 1),
-                (0, 1) => x2 * (1 - 2 * z2),
-                _ => unreachable!(),
-            };
-            phase += g;
+    /// Flips the sign of every row whose Pauli on `q` anticommutes with
+    /// the applied Pauli; `anticommutes(x, z)` selects them a word at a
+    /// time.
+    fn flip_signs(&mut self, q: usize, anticommutes: impl Fn(u64, u64) -> u64) {
+        let (w, bit) = (q / 64, q % 64);
+        for row in 0..2 * self.num_qubits {
+            let idx = row * self.words + w;
+            self.r[row] ^= (anticommutes(self.x[idx], self.z[idx]) >> bit & 1) as u8;
         }
+    }
+
+    /// The exponent of `i` picked up when row `i`'s Pauli string
+    /// multiplies row `h`'s: `Σ_q g(x1, z1, x2, z2)` of Aaronson-Gottesman
+    /// (`x1, z1` from row `i`), a word at a time. Per qubit `g` is +1, −1
+    /// or 0; `plus` and `minus` mark the six (x1, z1, x2, z2) cases that
+    /// give ±1, so the sum is `popcount(plus) − popcount(minus)`.
+    fn phase_exponent(&self, h: usize, i: usize) -> i64 {
+        let (hw, iw) = (h * self.words, i * self.words);
+        let mut sum = 0i64;
+        for w in 0..self.words {
+            let (x1, z1) = (self.x[iw + w], self.z[iw + w]);
+            let (x2, z2) = (self.x[hw + w], self.z[hw + w]);
+            // Y·Z, X·Y, Z·X give +1; Y·X, X·Z, Z·Y give −1.
+            let plus = (x1 & z1 & !x2 & z2) | (x1 & !z1 & x2 & z2) | (!x1 & z1 & x2 & !z2);
+            let minus = (x1 & z1 & x2 & !z2) | (x1 & !z1 & !x2 & z2) | (!x1 & z1 & x2 & z2);
+            sum += i64::from(plus.count_ones()) - i64::from(minus.count_ones());
+        }
+        sum
+    }
+
+    /// `rowsum(h, i)`: row `h` ← row `i` · row `h` with exact phase
+    /// tracking.
+    fn rowsum(&mut self, h: usize, i: usize) {
+        let phase = 2 * i64::from(self.r[h]) + 2 * i64::from(self.r[i]) + self.phase_exponent(h, i);
         debug_assert_eq!(phase.rem_euclid(2), 0, "rowsum phase must be real");
-        self.r[h] = if phase.rem_euclid(4) == 0 { 0 } else { 1 };
+        self.r[h] = u8::from(phase.rem_euclid(4) != 0);
         for w in 0..self.words {
             self.x[h * self.words + w] ^= self.x[i * self.words + w];
             self.z[h * self.words + w] ^= self.z[i * self.words + w];
@@ -295,6 +282,12 @@ impl StabilizerState {
     /// Projectively measures qubit `q` in the Z basis, collapsing the
     /// state.
     pub fn measure(&mut self, q: usize, rng: &mut impl Rng) -> bool {
+        self.measure_with(q, || rng.gen())
+    }
+
+    /// [`StabilizerState::measure`] with the outcome of a random
+    /// measurement supplied by `random` (called only in that case).
+    fn measure_with(&mut self, q: usize, random: impl FnOnce() -> bool) -> bool {
         let n = self.num_qubits;
         // Find a stabilizer anti-commuting with Z_q.
         let pivot = (n..2 * n).find(|&row| self.get_x(row, q));
@@ -310,7 +303,7 @@ impl StabilizerState {
                 }
                 self.copy_row(p - n, p);
                 self.clear_row(p);
-                let outcome = rng.gen::<bool>();
+                let outcome = random();
                 self.set_z(p, q, true);
                 self.r[p] = u8::from(outcome);
                 outcome
@@ -352,6 +345,15 @@ impl StabilizerSimulator {
     /// Executes `shots` repetitions of a Clifford circuit (gates,
     /// measurements, resets, barriers, conditionals).
     ///
+    /// A measurement-terminal circuit (see
+    /// `terminal::per_shot_reason`) is evolved once, and each
+    /// shot is drawn from the outcome distribution measured off clones of
+    /// that tableau (see `run_sampled`). Gates draw no randomness, so for
+    /// a fixed seed the counts equal a per-shot replay of the whole
+    /// circuit. Other circuits replay every instruction per shot. The
+    /// `aer.stabilizer_run` span records which path ran and, for
+    /// trajectories, why.
+    ///
     /// # Errors
     ///
     /// Returns an error for non-Clifford gates or more than 64 classical
@@ -364,19 +366,23 @@ impl StabilizerSimulator {
             Some(seed) => StdRng::seed_from_u64(seed),
             None => StdRng::from_entropy(),
         };
-        let _span =
-            qukit_obs::span!("aer.stabilizer_run", qubits = circuit.num_qubits(), shots = shots,);
+        let reason = terminal::per_shot_reason(circuit);
+        let _span = terminal::run_span("aer.stabilizer_run", circuit.num_qubits(), shots, reason);
         qukit_obs::counter_inc("qukit_aer_stabilizer_runs_total");
         qukit_obs::counter_add("qukit_aer_shots_total", shots as u64);
         let mut gates = 0u64;
-        let counts = {
-            let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "stabilizer")
-                .with_metric("qukit_aer_sample_seconds");
-            let mut counts = Counts::new(circuit.num_clbits());
-            for _ in 0..shots {
-                counts.record(self.run_shot(circuit, &mut rng, &mut gates)?);
+        let counts = match reason {
+            None => run_sampled(circuit, shots, &mut rng, &mut gates)?,
+            Some(_) => {
+                let _sample_span =
+                    qukit_obs::span!("aer.sample", shots = shots, mode = "stabilizer")
+                        .with_metric("qukit_aer_sample_seconds");
+                let mut counts = Counts::new(circuit.num_clbits());
+                for _ in 0..shots {
+                    counts.record(self.run_shot(circuit, &mut rng, &mut gates)?);
+                }
+                counts
             }
-            counts
         };
         qukit_obs::counter_add("qukit_aer_stabilizer_gates_total", gates);
         Ok(counts)
@@ -422,6 +428,60 @@ impl StabilizerSimulator {
     }
 }
 
+/// Evolve once, sample many: the gates of a measurement-terminal circuit
+/// are applied to one tableau, and the outcome distribution is read off
+/// clones of it.
+///
+/// Which measurements are random does not depend on earlier outcomes, and
+/// the sign bits evolve affinely, so with `k` random measurements the
+/// outcome is `base ⊕ Σ bⱼ·columnⱼ` over the random bits `bⱼ`. Measuring
+/// `k + 1` clones (all `bⱼ = 0`, then each alone set) yields `base` and
+/// the columns. Each shot draws its `k` bits in measurement order, the
+/// RNG stream a per-shot replay consumes, so seeded counts match it.
+fn run_sampled(
+    circuit: &QuantumCircuit,
+    shots: usize,
+    rng: &mut StdRng,
+    gates: &mut u64,
+) -> Result<Counts> {
+    let mut state = StabilizerState::new(circuit.num_qubits());
+    let mut measures: Vec<(usize, usize)> = Vec::new();
+    for inst in circuit.instructions() {
+        match &inst.op {
+            Operation::Gate(g) => {
+                state.apply_gate(*g, &inst.qubits)?;
+                *gates += 1;
+            }
+            Operation::Measure => measures.push((inst.qubits[0], inst.clbits[0])),
+            Operation::Barrier => {}
+            Operation::Reset => unreachable!("terminal circuits have no reset"),
+        }
+    }
+    // Measures a clone with random outcome `j` forced to `Some(j) == set`;
+    // returns the outcome and the number of random measurements.
+    let measure_clone = |set: Option<usize>| {
+        let mut shot = state.clone();
+        let mut k = 0usize;
+        let outcome = measures.iter().fold(0u64, |creg, &(q, c)| {
+            let bit = shot.measure_with(q, || {
+                k += 1;
+                set == Some(k - 1)
+            });
+            creg | u64::from(bit) << c
+        });
+        (outcome, k)
+    };
+    let (base, k) = measure_clone(None);
+    let columns: Vec<u64> = (0..k).map(|j| measure_clone(Some(j)).0 ^ base).collect();
+    let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "stabilizer")
+        .with_metric("qukit_aer_sample_seconds");
+    let mut counts = Counts::new(circuit.num_clbits());
+    for _ in 0..shots {
+        counts.record(columns.iter().fold(base, |o, &col| if rng.gen() { o ^ col } else { o }));
+    }
+    Ok(counts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,6 +491,101 @@ mod tests {
 
     fn clifford_gates() -> Vec<Gate> {
         vec![Gate::H, Gate::S, Gate::Sdg, Gate::X, Gate::Y, Gate::Z, Gate::Sx]
+    }
+
+    /// A random tableau: `|0…0⟩` scrambled by `4n` random H/S/CX gates.
+    fn random_tableau(n: usize, rng: &mut StdRng) -> StabilizerState {
+        use rand::Rng;
+        let mut state = StabilizerState::new(n);
+        for _ in 0..4 * n {
+            let a = rng.gen_range(0..n);
+            match rng.gen_range(0..3u32) {
+                0 => state.h(a),
+                1 => state.s(a, false),
+                _ if n > 1 => {
+                    let b = (a + rng.gen_range(1..n)) % n;
+                    state.cx(a, b);
+                }
+                _ => {}
+            }
+        }
+        state
+    }
+
+    #[test]
+    fn direct_pauli_and_sdg_updates_match_composite_sequences() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in [1usize, 5, 64, 70] {
+            for _ in 0..4 {
+                let base = random_tableau(n, &mut rng);
+                for q in [0, n / 2, n - 1] {
+                    // The H/S sequences these gates used to run as.
+                    let composites = [
+                        (Gate::X, "hssh"),
+                        (Gate::Z, "ss"),
+                        (Gate::Y, "sshssh"),
+                        (Gate::Sdg, "sss"),
+                    ];
+                    for (gate, steps) in composites {
+                        let mut direct = base.clone();
+                        direct.apply_gate(gate, &[q]).unwrap();
+                        let mut composite = base.clone();
+                        for step in steps.chars() {
+                            match step {
+                                'h' => composite.h(q),
+                                _ => composite.s(q, false),
+                            }
+                        }
+                        assert_eq!(direct, composite, "{} on qubit {q} of {n}", gate.name());
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-qubit `g` sum of Aaronson-Gottesman, one bit at a time:
+    /// the reference for [`StabilizerState::phase_exponent`].
+    fn phase_exponent_per_bit(state: &StabilizerState, h: usize, i: usize) -> i64 {
+        let mut sum = 0i64;
+        for q in 0..state.num_qubits {
+            let x1 = i64::from(state.get_x(i, q));
+            let z1 = i64::from(state.get_z(i, q));
+            let x2 = i64::from(state.get_x(h, q));
+            let z2 = i64::from(state.get_z(h, q));
+            sum += match (x1, z1) {
+                (0, 0) => 0,
+                (1, 1) => z2 - x2,
+                (1, 0) => z2 * (2 * x2 - 1),
+                _ => x2 * (1 - 2 * z2),
+            };
+        }
+        sum
+    }
+
+    #[test]
+    fn word_parallel_phase_matches_per_bit_formula() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in [1usize, 63, 64, 65, 130] {
+            let mut state = StabilizerState::new(n);
+            for _ in 0..50 {
+                // Arbitrary (not necessarily commuting) Pauli rows, so
+                // every (x1, z1, x2, z2) case and odd sums occur.
+                for row in [0, n] {
+                    for q in 0..n {
+                        state.set_x(row, q, rng.gen_bool(0.5));
+                        state.set_z(row, q, rng.gen_bool(0.5));
+                    }
+                }
+                for (h, i) in [(0, n), (n, 0), (0, 0)] {
+                    assert_eq!(
+                        state.phase_exponent(h, i),
+                        phase_exponent_per_bit(&state, h, i),
+                        "n={n} rows ({h}, {i})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -562,6 +717,131 @@ mod tests {
         let counts = StabilizerSimulator::new().with_seed(3).run(&circ, 100).unwrap();
         // q0 reset to 0, q1 flipped by the conditional.
         assert_eq!(counts.get_value(0b10), 100);
+    }
+
+    /// A seeded measurement-terminal Clifford circuit on `n` qubits whose
+    /// outcome support stays small: H on three qubits, then a deep network
+    /// of basis-permuting Cliffords, then `min(n, 64)` measurements
+    /// spread over the register.
+    fn terminal_clifford(n: usize, seed: u64) -> QuantumCircuit {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let measured = n.min(64);
+        let mut circ = QuantumCircuit::with_size(n, measured);
+        for q in [0, n / 2, n - 1] {
+            circ.h(q).unwrap();
+        }
+        let oneq = [Gate::X, Gate::Y, Gate::Z, Gate::S, Gate::Sdg];
+        let twoq = [Gate::CX, Gate::CZ, Gate::CY, Gate::Swap];
+        for _ in 0..6 * n {
+            let a = rng.gen_range(0..n);
+            if rng.gen_bool(0.6) {
+                let mut b = rng.gen_range(0..n);
+                while b == a {
+                    b = rng.gen_range(0..n);
+                }
+                circ.append(twoq[rng.gen_range(0..twoq.len())], &[a, b]).unwrap();
+            } else {
+                circ.append(oneq[rng.gen_range(0..oneq.len())], &[a]).unwrap();
+            }
+        }
+        for c in 0..measured {
+            circ.measure(c * n / measured, c).unwrap();
+        }
+        circ
+    }
+
+    #[test]
+    fn evolve_once_sampling_equals_per_shot_replay() {
+        // Random terminal Clifford circuits with H and Sx anywhere, so up
+        // to every measurement is random: the affine outcome map must
+        // reproduce a per-shot replay of the whole circuit bit for bit.
+        use rand::Rng;
+        let mut gen = StdRng::seed_from_u64(8);
+        for (trial, n) in [3usize, 6, 9, 40, 66].into_iter().enumerate() {
+            let measured = n.min(64);
+            let mut circ = QuantumCircuit::with_size(n, measured);
+            let oneq = [Gate::H, Gate::S, Gate::Sdg, Gate::X, Gate::Y, Gate::Z, Gate::Sx];
+            for _ in 0..5 * n {
+                let a = gen.gen_range(0..n);
+                if n > 1 && gen.gen_bool(0.4) {
+                    let b = (a + gen.gen_range(1..n)) % n;
+                    circ.cx(a, b).unwrap();
+                } else {
+                    circ.append(oneq[gen.gen_range(0..oneq.len())], &[a]).unwrap();
+                }
+            }
+            for c in 0..measured {
+                circ.measure((c * 7) % n, c).unwrap();
+            }
+            let sim = StabilizerSimulator::new().with_seed(trial as u64);
+            let sampled = sim.run(&circ, 300).unwrap();
+            let mut rng = StdRng::seed_from_u64(trial as u64);
+            let mut replay = Counts::new(measured);
+            for _ in 0..300 {
+                replay.record(sim.run_shot(&circ, &mut rng, &mut 0).unwrap());
+            }
+            assert_eq!(sampled, replay, "n={n}");
+        }
+    }
+
+    #[test]
+    fn seeded_terminal_clifford_counts_are_pinned() {
+        // Captured from the per-shot engine (fresh tableau and every gate
+        // re-applied each shot). Gates draw no randomness, so evolving
+        // once and measuring a clone per shot must reproduce these counts
+        // bit for bit — including the two-word rows at 70 qubits.
+        type Pin = (usize, u64, [(u64, usize); 8]);
+        let pinned: [Pin; 3] = [
+            (
+                16,
+                1,
+                [
+                    (190, 31),
+                    (434, 38),
+                    (694, 33),
+                    (954, 27),
+                    (18679, 37),
+                    (18939, 24),
+                    (19199, 35),
+                    (19443, 31),
+                ],
+            ),
+            (
+                32,
+                2,
+                [
+                    (1233304248, 33),
+                    (1233566393, 39),
+                    (1237498552, 33),
+                    (1237760697, 30),
+                    (2634039208, 37),
+                    (2634301353, 26),
+                    (2638233512, 32),
+                    (2638495657, 26),
+                ],
+            ),
+            (
+                70,
+                3,
+                [
+                    (9709912682910512541, 25),
+                    (9709913782422140349, 30),
+                    (9714416282537885085, 26),
+                    (9714417382049512893, 34),
+                    (16627441706254628253, 38),
+                    (16627442805766256061, 28),
+                    (16631945305882000797, 39),
+                    (16631946405393628605, 36),
+                ],
+            ),
+        ];
+        for (n, seed, expected) in pinned {
+            let circ = terminal_clifford(n, seed);
+            let counts = StabilizerSimulator::new().with_seed(seed).run(&circ, 256).unwrap();
+            let got: Vec<(u64, usize)> = counts.iter().collect();
+            assert_eq!(got, expected, "n={n}");
+        }
     }
 
     #[test]

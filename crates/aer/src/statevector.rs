@@ -2,8 +2,8 @@
 //!
 //! [`Statevector`] is the mutable quantum-state object the simulators in
 //! this crate are built on: gate application via bit-sliced updates,
-//! projective measurement with collapse, reset, sampling, expectation
-//! values and fidelities.
+//! projective measurement with collapse, reset, expectation values and
+//! fidelities.
 
 use crate::simd::{complex_mul2, neg_im_vec, simd_default, F64x4};
 use qukit_terra::complex::Complex;
@@ -226,18 +226,11 @@ impl Statevector {
         }
     }
 
-    /// Samples a full computational-basis outcome *without* collapsing the
-    /// state (used for repeated sampling of a terminal state).
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let mut r = rng.gen::<f64>();
-        for (idx, amp) in self.amplitudes.iter().enumerate() {
-            let p = amp.norm_sqr();
-            if r < p {
-                return idx;
-            }
-            r -= p;
-        }
-        self.amplitudes.len() - 1
+    /// Returns the whole register to `|0…0⟩` in place, keeping the
+    /// allocation (trajectory shots reuse one buffer this way).
+    pub(crate) fn reset_to_zero(&mut self) {
+        self.amplitudes.fill(Complex::ZERO);
+        self.amplitudes[0] = Complex::ONE;
     }
 
     /// Expectation value `⟨ψ|P|ψ⟩` of a Pauli string given as one
@@ -495,25 +488,6 @@ mod tests {
         sv.apply_gate(Gate::H, &[0]);
         sv.reset(0, &mut rng);
         assert!(sv.amplitude(0).norm_sqr() > 1.0 - 1e-12);
-    }
-
-    #[test]
-    fn sampling_matches_distribution() {
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut sv = Statevector::new(2);
-        sv.apply_gate(Gate::H, &[0]);
-        sv.apply_gate(Gate::CX, &[0, 1]);
-        let mut zeros = 0;
-        let mut threes = 0;
-        for _ in 0..2000 {
-            match sv.sample(&mut rng) {
-                0 => zeros += 1,
-                3 => threes += 1,
-                other => panic!("impossible outcome {other}"),
-            }
-        }
-        let ratio = zeros as f64 / (zeros + threes) as f64;
-        assert!((ratio - 0.5).abs() < 0.05, "ratio {ratio}");
     }
 
     #[test]

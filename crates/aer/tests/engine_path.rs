@@ -1,0 +1,140 @@
+//! Every shot-based run records which path it took and why: the
+//! `aer.qasm_run` and `aer.stabilizer_run` spans carry `mode=sampled`, or
+//! `mode=trajectory` with a `reason` naming the first instruction that
+//! forced per-shot execution.
+//!
+//! A single `#[test]` in its own binary: it toggles the process-global
+//! recorder, which would race any test sharing the process.
+
+use qukit_aer::noise::NoiseModel;
+use qukit_aer::simulator::QasmSimulator;
+use qukit_aer::stabilizer::StabilizerSimulator;
+use qukit_terra::circuit::QuantumCircuit;
+use qukit_terra::gate::Gate;
+
+/// The detail string of the single `name` span recorded under `context`.
+fn detail_of(name: &str, context: qukit_obs::TraceContext) -> String {
+    let matching: Vec<_> = qukit_obs::snapshot_trace()
+        .into_iter()
+        .filter(|event| event.name == name && event.trace_id == context.trace_id)
+        .collect();
+    assert_eq!(matching.len(), 1, "one {name} span per run");
+    matching[0].detail.clone()
+}
+
+fn gate_apps() -> u64 {
+    let snapshot = qukit_obs::registry().snapshot();
+    snapshot.counters.get("qukit_aer_stabilizer_gates_total").copied().unwrap_or(0)
+}
+
+/// Runs `circuit` on both engines (noisy dense only when `noise` is set)
+/// under a fresh trace and checks the decision each span recorded.
+fn check(circuit: &QuantumCircuit, noise: Option<NoiseModel>, expected: &str) {
+    let engines: [(&str, &dyn Fn()); 2] = [
+        ("aer.qasm_run", &|| {
+            let mut sim = QasmSimulator::new().with_seed(1);
+            if let Some(noise) = noise.clone() {
+                sim = sim.with_noise(noise);
+            }
+            sim.run(circuit, 8).expect("dense run");
+        }),
+        ("aer.stabilizer_run", &|| {
+            StabilizerSimulator::new().with_seed(1).run(circuit, 8).expect("tableau run");
+        }),
+    ];
+    for (span, run) in engines {
+        if noise.is_some() && span == "aer.stabilizer_run" {
+            continue;
+        }
+        let context = qukit_obs::TraceContext::mint();
+        {
+            let _guard = context.attach();
+            run();
+        }
+        let detail = detail_of(span, context);
+        assert!(
+            detail.ends_with(expected),
+            "{span}: expected '{expected}' at the end of '{detail}'"
+        );
+    }
+}
+
+#[test]
+fn run_spans_record_the_sampled_or_trajectory_decision_and_its_reason() {
+    qukit_obs::set_enabled(true);
+    qukit_obs::reset();
+
+    let mut terminal = QuantumCircuit::with_size(3, 3);
+    terminal.h(0).unwrap();
+    terminal.measure(0, 0).unwrap();
+    terminal.cx(1, 2).unwrap();
+    terminal.measure(1, 1).unwrap();
+    terminal.measure(2, 2).unwrap();
+    check(&terminal, None, "mode=sampled");
+
+    let mut reset = QuantumCircuit::with_size(2, 2);
+    reset.h(0).unwrap();
+    reset.cx(0, 1).unwrap();
+    reset.reset(1).unwrap();
+    reset.measure(0, 0).unwrap();
+    check(&reset, None, "mode=trajectory reason=reset@2");
+
+    let mut conditional = QuantumCircuit::with_size(2, 2);
+    conditional.h(0).unwrap();
+    conditional.measure(0, 0).unwrap();
+    conditional.append_conditional(Gate::X, &[1], "c", 1).unwrap();
+    conditional.measure(1, 1).unwrap();
+    check(&conditional, None, "mode=trajectory reason=conditional@2");
+
+    let mut gate_after = QuantumCircuit::with_size(2, 2);
+    gate_after.h(0).unwrap();
+    gate_after.measure(0, 0).unwrap();
+    gate_after.h(1).unwrap();
+    gate_after.x(0).unwrap();
+    gate_after.measure(1, 1).unwrap();
+    check(&gate_after, None, "mode=trajectory reason=gate_after_measure@3");
+
+    let mut remeasure = QuantumCircuit::with_size(1, 2);
+    remeasure.h(0).unwrap();
+    remeasure.measure(0, 0).unwrap();
+    remeasure.measure(0, 1).unwrap();
+    check(&remeasure, None, "mode=trajectory reason=remeasure@2");
+
+    let mut rewrite = QuantumCircuit::with_size(2, 1);
+    rewrite.h(0).unwrap();
+    rewrite.measure(0, 0).unwrap();
+    rewrite.measure(1, 0).unwrap();
+    check(&rewrite, None, "mode=trajectory reason=clbit_rewrite@2");
+
+    check(
+        &terminal,
+        Some(NoiseModel::depolarizing(0.01, 0.02, 0.0)),
+        "mode=trajectory reason=noise",
+    );
+
+    // An ideal noise model keeps the evolve-once path.
+    check(&terminal, Some(NoiseModel::new()), "mode=sampled");
+
+    // A 100-qubit GHZ, past any single-word qubit mask, is evolved once:
+    // each of its 100 gates is applied to one tableau, not once per shot.
+    let n = 100;
+    let mut ghz = QuantumCircuit::with_size(n, 64);
+    ghz.h(0).unwrap();
+    for q in 1..n {
+        ghz.cx(q - 1, q).unwrap();
+    }
+    for c in 0..64 {
+        ghz.measure(n - 1 - c, c).unwrap();
+    }
+    let gates_before = gate_apps();
+    let context = qukit_obs::TraceContext::mint();
+    let counts = {
+        let _guard = context.attach();
+        StabilizerSimulator::new().with_seed(2).run(&ghz, 256).expect("wide GHZ")
+    };
+    assert_eq!(counts.get_value(0) + counts.get_value(u64::MAX), 256);
+    assert!(detail_of("aer.stabilizer_run", context).ends_with("mode=sampled"));
+    assert_eq!(gate_apps() - gates_before, n as u64);
+
+    qukit_obs::set_enabled(false);
+}

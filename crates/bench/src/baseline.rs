@@ -680,11 +680,7 @@ fn fmt_f64(value: f64) -> String {
 mod tests {
     use super::*;
 
-    /// Baseline runs mutate the global metrics registry; serialize them.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+    use crate::registry_lock as lock;
 
     #[test]
     fn baseline_covers_at_least_eight_circuit_engine_pairs() {

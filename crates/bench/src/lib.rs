@@ -9,6 +9,15 @@
 pub mod baseline;
 pub mod load;
 
+/// Baseline and load runs both mutate the global metrics registry (and
+/// executors running inside one are counted by the other); every test in
+/// this crate's binary that runs either takes this one lock.
+#[cfg(test)]
+fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 use qukit::terra::circuit::QuantumCircuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -415,12 +415,7 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
 mod tests {
     use super::*;
 
-    /// Load runs mutate the global metrics registry; serialize them
-    /// (and against baseline.rs tests via cargo's per-crate binary).
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+    use crate::registry_lock as lock;
 
     #[test]
     fn load_run_loses_nothing_and_hits_the_cache() {

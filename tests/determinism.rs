@@ -162,3 +162,31 @@ fn sixteen_concurrent_jobs_over_parallel_backends_are_deterministic() {
         assert_eq!(&all_counts[0], counts, "job {i} diverged from job 0");
     }
 }
+
+/// Seeded noisy runs on the `ibmqx4` fake device: every shot is a
+/// stochastic trajectory (transpiled GHZ-3 under depolarizing and readout
+/// noise), on the serial loop and on the shot-parallel batched path. The
+/// counts were captured before the trajectory loops started reusing one
+/// amplitude buffer per batch; reusing the buffer must leave the RNG
+/// stream, and so every count, untouched.
+#[test]
+fn seeded_noisy_ibmqx4_counts_are_pinned() {
+    use qukit::{Backend, FakeDevice};
+    let mut measured = qukit::aqua::circuits::ghz_circuit(3);
+    measured.measure_all();
+    let pinned: [(usize, [(u64, usize); 8]); 2] = [
+        (1, [(0, 228), (1, 14), (2, 14), (3, 10), (4, 11), (5, 4), (6, 8), (7, 223)]),
+        (2, [(0, 226), (1, 10), (2, 11), (3, 9), (4, 11), (5, 8), (6, 12), (7, 225)]),
+    ];
+    for (threads, expected) in pinned {
+        let mut device = FakeDevice::ibmqx4().with_seed(41);
+        device.set_parallel(ParallelConfig {
+            threads,
+            chunk_qubits: 13,
+            fusion: false,
+            simd: true,
+        });
+        let counts = device.run(&measured, 512).expect("noisy run");
+        assert_eq!(counts_vec(&counts), expected, "threads={threads}");
+    }
+}
