@@ -301,8 +301,7 @@ impl JobObserver for CompletionLedger {
 /// this from a context that owns the registry (the CLI does; tests
 /// serialize on a lock).
 pub fn run_load(config: &LoadConfig) -> LoadReport {
-    let was_enabled = qukit_obs::enabled();
-    qukit_obs::set_enabled(true);
+    let was_enabled = qukit_obs::set_enabled(true);
     qukit_obs::registry().reset();
 
     let pool = payload_pool(config.payload_pool);

@@ -152,16 +152,19 @@ tenant's queued jobs (excess submissions are shed with a REJECTED
 status); --cache enables the content-addressed result cache and runs
 the circuit twice to demonstrate a hit
 
-observability: --metrics FILE.json enables the qukit_* metric registry
-for the command and writes the snapshot (schema qukit-metrics/v1) to
-FILE.json on exit; --trace additionally prints the span tree;
+observability: --metrics FILE.json records the command's qukit_*
+metrics into a registry scope of its own (other commands and executors
+in the same process neither add to it nor see it) and writes the
+snapshot (schema qukit-metrics/v1) to FILE.json on exit; --trace
+additionally prints the span tree;
 --trace-out FILE writes the per-job span waterfalls as Chrome
 trace-event JSON (open in chrome://tracing or Perfetto), tail-sampled
 with --trace-slow-ms N (keep traces slower than N ms) and
 --trace-sample N (plus every Nth trace). `qukit serve-metrics` runs a
-zero-dependency scrape endpoint serving /metrics (Prometheus text
-format), /healthz, and /traces/recent (JSON span buffer); --for-ms
-bounds the listener's lifetime for scripted runs. Inspect
+zero-dependency scrape endpoint over the process-wide default registry
+serving /metrics (Prometheus text format), /healthz, and /traces/recent
+(JSON span buffer); --for-ms bounds the listener's lifetime for
+scripted runs and restores the prior recording setting afterwards. Inspect
 either a metrics snapshot or a bench baseline with `qukit stats
 <file>.json`. `qukit bench` sweeps the fixed circuit suite across every
 capable engine and emits the qukit-bench-baseline/v1 document
@@ -361,18 +364,26 @@ fn cmd_draw(rest: &[&String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 /// Observability flags shared by `run`/`jobs`/`fuzz`: `--metrics
-/// FILE.json` enables the global registry for the command and writes a
-/// `qukit-metrics/v1` snapshot on exit; `--trace` prints the span tree;
+/// FILE.json` records the command into a [`qukit_obs::Scope`] of its own
+/// and writes a `qukit-metrics/v1` snapshot of it on exit; `--trace`
+/// prints the span tree;
 /// `--trace-out FILE` writes a Chrome trace-event JSON (load it in
 /// `chrome://tracing` or Perfetto), optionally tail-sampled with
 /// `--trace-slow-ms N` (keep traces slower than N ms) and
 /// `--trace-sample N` (plus every Nth trace regardless of latency).
+///
+/// The scope is installed on the command's thread while the session
+/// lives, and executors built there carry it to their workers; an early
+/// return drops the guard, so a failed command leaves nothing installed
+/// and never touches the process-wide switch.
 struct ObsSession {
     metrics_path: Option<String>,
     trace: bool,
     trace_out: Option<String>,
     trace_slow_ms: Option<u64>,
     trace_sample: Option<u64>,
+    /// Present when any flag asked for observability.
+    scope: Option<(qukit_obs::Scope, qukit_obs::ScopeGuard)>,
 }
 
 impl ObsSession {
@@ -393,24 +404,25 @@ impl ObsSession {
                 "--trace-slow-ms/--trace-sample need --trace-out FILE".to_owned(),
             ));
         }
-        let session = Self { metrics_path, trace, trace_out, trace_slow_ms, trace_sample };
-        if session.active() {
-            qukit_obs::set_enabled(true);
-            qukit_obs::reset();
-        }
-        Ok(session)
+        let scope = (metrics_path.is_some() || trace || trace_out.is_some()).then(|| {
+            let scope = qukit_obs::Scope::new();
+            let guard = scope.install();
+            (scope, guard)
+        });
+        Ok(Self { metrics_path, trace, trace_out, trace_slow_ms, trace_sample, scope })
     }
 
     fn active(&self) -> bool {
-        self.metrics_path.is_some() || self.trace || self.trace_out.is_some()
+        self.scope.is_some()
     }
 
     fn finish(self, out: &mut impl Write) -> Result<(), CliError> {
-        if !self.active() {
+        // The scope stays installed until this returns, so free readers
+        // such as `qukit_obs::trace_events_dropped` see it too.
+        let Some((scope, _installed)) = &self.scope else {
             return Ok(());
-        }
-        let snapshot = qukit_obs::registry().snapshot();
-        qukit_obs::set_enabled(false);
+        };
+        let snapshot = scope.snapshot();
         if self.trace {
             writeln!(out, "trace ({} spans, oldest first):", snapshot.trace.len())?;
             for event in &snapshot.trace {
@@ -1134,10 +1146,11 @@ fn bench_load(rest: &[&String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 /// `qukit serve-metrics`: a zero-dependency HTTP scrape endpoint over
-/// the global registry — `/metrics` (Prometheus text format),
-/// `/healthz`, and `/traces/recent` (recorded span buffer as JSON).
-/// Enables metrics recording for the listener's lifetime. `--for-ms N`
-/// bounds the run for scripted use; without it the listener serves
+/// the process-wide default registry — `/metrics` (Prometheus text
+/// format), `/healthz`, and `/traces/recent` (recorded span buffer as
+/// JSON). Enables recording into the default for the listener's
+/// lifetime. `--for-ms N` bounds the run for scripted use and restores
+/// the prior setting when it returns; without it the listener serves
 /// until the process is killed.
 fn cmd_serve_metrics(rest: &[&String], out: &mut impl Write) -> Result<(), CliError> {
     let addr = flag_value(rest, "--addr")?.unwrap_or("127.0.0.1:9187");
@@ -1145,15 +1158,16 @@ fn cmd_serve_metrics(rest: &[&String], out: &mut impl Write) -> Result<(), CliEr
         Some(v) => Some(parse_number(v, "serve duration (ms)")?),
         None => None,
     };
-    qukit_obs::set_enabled(true);
     let server = qukit_obs::http::serve(addr)
         .map_err(|e| CliError::Usage(format!("cannot bind {addr}: {e}")))?;
     writeln!(out, "serving /metrics, /healthz, /traces/recent on http://{}", server.local_addr())?;
     out.flush()?;
+    let was_enabled = qukit_obs::set_enabled(true);
     match for_ms {
         Some(ms) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
             server.shutdown();
+            qukit_obs::set_enabled(was_enabled);
             writeln!(out, "served for {ms}ms, shut down")?;
         }
         None => loop {
@@ -1682,8 +1696,11 @@ mod tests {
         assert!(matches!(run_err(&["stats", "/nonexistent/file.qasm"]), CliError::Io(_)));
     }
 
-    /// Commands that toggle the global metrics registry must not
-    /// interleave; every `--metrics`/`--trace`/`bench` test takes this.
+    /// Serializes the tests that use or read the process-wide default
+    /// registry and its switch: `bench` (per-entry and `--load`
+    /// metrics) and `serve-metrics`. `run`/`jobs`/`fuzz` with
+    /// `--metrics`/`--trace` record into a scope of their own and need
+    /// no lock.
     fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -1706,7 +1723,6 @@ mod tests {
 
     #[test]
     fn run_with_metrics_captures_all_three_layers() {
-        let _guard = obs_lock();
         let file = write_bell();
         let metrics = temp_json("run");
         let text = run_ok(&[
@@ -1741,7 +1757,6 @@ mod tests {
 
     #[test]
     fn run_with_trace_prints_span_tree() {
-        let _guard = obs_lock();
         let file = write_bell();
         let text = run_ok(&["run", file.as_str(), "--shots", "50", "--seed", "1", "--trace"]);
         assert!(text.contains("trace ("), "{text}");
@@ -1750,7 +1765,6 @@ mod tests {
 
     #[test]
     fn jobs_with_metrics_counts_retries() {
-        let _guard = obs_lock();
         let file = write_bell();
         let metrics = temp_json("jobs");
         run_ok(&[
@@ -1773,6 +1787,42 @@ mod tests {
     }
 
     #[test]
+    fn jobs_metrics_count_faults_raised_on_the_timeout_helper() {
+        // With --timeout-ms every attempt runs on a helper thread, which
+        // is where the fault injector records.
+        let file = write_bell();
+        let metrics = temp_json("jobs_timeout");
+        run_ok(&[
+            "jobs",
+            file.as_str(),
+            "--shots",
+            "50",
+            "--inject-fail",
+            "1",
+            "--retries",
+            "2",
+            "--timeout-ms",
+            "10000",
+            "--metrics",
+            metrics.as_str(),
+        ]);
+        let written = std::fs::read_to_string(&metrics.path).expect("snapshot written");
+        let snapshot = qukit_obs::export::from_json(&written).expect("snapshot parses");
+        assert_eq!(snapshot.counters.get("qukit_core_fault_injections_total"), Some(&1));
+        assert_eq!(snapshot.counters.get("qukit_core_jobs_completed_total"), Some(&1));
+    }
+
+    #[test]
+    fn failed_metrics_command_leaves_no_scope_and_the_switch_alone() {
+        let _guard = obs_lock();
+        let before = qukit_obs::enabled();
+        let metrics = temp_json("jobs_missing");
+        run_err(&["jobs", "/nonexistent.qasm", "--metrics", metrics.as_str()]);
+        assert!(qukit_obs::Scope::current().is_none());
+        assert_eq!(qukit_obs::enabled(), before);
+    }
+
+    #[test]
     fn bench_emits_and_stats_renders_a_valid_baseline() {
         let _guard = obs_lock();
         let out_file = temp_json("bench");
@@ -1789,7 +1839,6 @@ mod tests {
 
     #[test]
     fn stats_rejects_unknown_json() {
-        let _guard = obs_lock();
         let bogus = temp_json("bogus");
         std::fs::write(&bogus.path, "{\"schema\": \"mystery/v1\"}").unwrap();
         assert!(matches!(run_err(&["stats", bogus.as_str()]), CliError::Usage(_)));
@@ -2014,7 +2063,6 @@ mod tests {
 
     #[test]
     fn jobs_trace_out_writes_a_valid_chrome_trace() {
-        let _guard = obs_lock();
         let file = write_bell();
         let trace_file = temp_json("jobs_trace");
         let text = run_ok(&[
@@ -2046,12 +2094,14 @@ mod tests {
     #[test]
     fn serve_metrics_serves_scrape_routes_for_a_bounded_run() {
         let _guard = obs_lock();
+        let before = qukit_obs::enabled();
         // Bind an ephemeral port directly (the command path is the same
         // serve() the CLI calls; here we drive it through run_cli with
         // --for-ms so the command returns on its own).
         let text = run_ok(&["serve-metrics", "--addr", "127.0.0.1:0", "--for-ms", "50"]);
         assert!(text.contains("serving /metrics, /healthz, /traces/recent on http://"), "{text}");
         assert!(text.contains("served for 50ms, shut down"), "{text}");
+        assert_eq!(qukit_obs::enabled(), before, "a bounded run restores the recording switch");
     }
 
     #[test]

@@ -652,6 +652,9 @@ struct WorkerContext {
     observers: ObserverSet,
     journal: Option<Arc<Journal>>,
     cache: Option<ResultCache>,
+    /// The constructing thread's observability scope, installed on every
+    /// worker so the executor's metrics land where its owner reads them.
+    scope: Option<qukit_obs::Scope>,
 }
 
 /// The job service: weighted-fair multi-tenant queue + worker pool +
@@ -661,6 +664,11 @@ struct WorkerContext {
 /// Dropping the executor closes the queue and joins the workers;
 /// already-submitted jobs finish first (abandoned hung attempts are
 /// detached, not joined).
+///
+/// Metrics and spans go to the observability scope of the thread that
+/// constructed the executor ([`qukit_obs::Scope::current`]): its workers
+/// and their per-attempt timeout helpers install it, so a caller that
+/// builds the executor under its own scope counts exactly its own jobs.
 ///
 /// # Examples
 ///
@@ -761,6 +769,7 @@ impl JobExecutor {
             observers: config.observers,
             journal: journal_handle,
             cache,
+            scope: qukit_obs::Scope::current(),
         });
         let workers = (0..config.workers.max(1))
             .map(|_| {
@@ -1302,6 +1311,7 @@ enum AttemptOutcome {
 }
 
 fn worker_loop(ctx: &Arc<WorkerContext>) {
+    let _scope = ctx.scope.as_ref().map(qukit_obs::Scope::install);
     while let Some((_tenant, entry)) = ctx.scheduler.pop() {
         run_job(&entry, ctx);
     }
@@ -1532,11 +1542,14 @@ fn run_attempt(
     let (tx, rx) = std::sync::mpsc::sync_channel(1);
     let provider = Arc::clone(provider);
     let circuit = circuit.clone();
-    // Trace contexts are per-thread: clone the worker's onto the helper
-    // so backend spans still land in this job's trace after the hop.
+    // Trace contexts and observability scopes are per-thread: carry the
+    // worker's onto the helper so backend spans and counters still land
+    // in this job's trace and its owner's registry after the hop.
     let trace = qukit_obs::TraceContext::current();
+    let scope = qukit_obs::Scope::current();
     std::thread::spawn(move || {
         let _trace_guard = trace.map(qukit_obs::TraceContext::attach);
+        let _scope = scope.as_ref().map(qukit_obs::Scope::install);
         let result =
             provider.get_backend(&backend_name).and_then(|backend| backend.run(&circuit, shots));
         let _ = tx.send(result); // receiver may have given up: ignore
@@ -1570,6 +1583,41 @@ mod tests {
 
     fn fast_retry(attempts: u32) -> RetryPolicy {
         RetryPolicy::new(attempts).with_base_backoff(Duration::from_millis(1)).with_jitter(0.0)
+    }
+
+    /// Runs one bell job to completion on a fresh executor built on the
+    /// calling thread.
+    fn run_one_job() {
+        let executor = JobExecutor::new(Provider::with_defaults());
+        let job = executor.submit(&bell(), "qasm_simulator", 16).unwrap();
+        job.result(Duration::from_secs(30)).unwrap();
+    }
+
+    #[test]
+    fn executors_count_only_into_their_own_scope() {
+        let first = qukit_obs::Scope::new();
+        {
+            let _installed = first.install();
+            run_one_job();
+        }
+        // A second executor under a scope of its own, on another thread.
+        let second = qukit_obs::Scope::new();
+        let handle = second.clone();
+        std::thread::spawn(move || {
+            let _installed = handle.install();
+            run_one_job();
+        })
+        .join()
+        .unwrap();
+        // A third under no scope, recording into the process default.
+        let was_enabled = qukit_obs::set_enabled(true);
+        run_one_job();
+        qukit_obs::set_enabled(was_enabled);
+        for scope in [&first, &second] {
+            let snapshot = scope.snapshot();
+            assert_eq!(snapshot.counters.get("qukit_core_jobs_submitted_total"), Some(&1));
+            assert_eq!(snapshot.counters.get("qukit_core_jobs_completed_total"), Some(&1));
+        }
     }
 
     #[test]

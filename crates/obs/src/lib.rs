@@ -3,17 +3,21 @@
 //! The paper's improvement stories — the decision-diagram simulator and the
 //! A*-style mapper — are performance claims, and performance claims need
 //! instruments. This crate is the measurement substrate every other qukit
-//! crate records into: a global, thread-safe [`MetricsRegistry`] of
-//! counters, gauges, and fixed-bucket histograms; lightweight [`Span`]s
-//! with monotonic timing, parent/child nesting, and a bounded ring-buffer
-//! event log; and exporters for the Prometheus text format, structured
-//! JSON, and a human-readable summary table.
+//! crate records into: a thread-safe [`MetricsRegistry`] of counters,
+//! gauges, and fixed-bucket histograms; lightweight [`Span`]s with
+//! monotonic timing, parent/child nesting, and a bounded ring-buffer event
+//! log; and exporters for the Prometheus text format, structured JSON, and
+//! a human-readable summary table.
+//!
+//! Recording goes to the thread's installed [`Scope`] if it has one (a
+//! private registry: the CLI gives each `--metrics` / `--trace` command
+//! its own), else to the process default behind [`registry`].
 //!
 //! Recording is **off by default**. Every record call starts with a single
-//! relaxed atomic-bool load, so an un-instrumented run pays one predictable
+//! relaxed atomic load, so an un-instrumented run pays one predictable
 //! branch per call site and nothing else — no locks, no allocation, no
-//! clock reads. Turn it on with [`set_enabled`] (the CLI does this for the
-//! `--metrics` / `--trace` flags).
+//! clock reads. Installing a [`Scope`] turns it on for that thread;
+//! [`set_enabled`] turns it on for the process default.
 //!
 //! Metric names follow the convention `qukit_<crate>_<name>`, with an
 //! optional Prometheus-style label suffix baked into the name:
@@ -37,6 +41,7 @@ pub mod export;
 pub mod http;
 pub mod json;
 pub mod registry;
+pub mod scope;
 pub mod span;
 pub mod trace;
 
@@ -47,17 +52,19 @@ pub use registry::{
     validate_label_name, validate_metric_name, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricNameError, MetricsRegistry, Snapshot, DURATION_BUCKETS, MAX_LABEL_SETS,
 };
+pub use scope::{Scope, ScopeGuard};
 pub use span::{
     drain_trace, next_id, record_span_at, snapshot_trace, trace_events_dropped, ContextGuard, Span,
     TraceContext, TraceEvent, TRACE_CAPACITY,
 };
 pub use trace::{assemble_trees, SpanNode, SpanTree, TraceSampler};
 
-/// Clears every metric and the trace buffer (recording stays as-is).
+/// Clears every metric and the trace buffer of the process default
+/// registry (recording stays as-is; installed scopes are untouched).
 ///
-/// Intended for tests and for CLI commands that scope a snapshot to a
-/// single invocation. Handles obtained before the reset keep working but
-/// are detached from the registry; prefer the name-based free functions.
+/// Intended for tests and benchmarks that read the process default.
+/// Handles obtained before the reset keep working but are detached from
+/// the registry; prefer the name-based free functions.
 pub fn reset() {
     registry().reset();
 }

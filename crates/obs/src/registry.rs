@@ -1,4 +1,8 @@
-//! The global, thread-safe metrics registry and its three metric kinds.
+//! The thread-safe metrics registry and its three metric kinds.
+//!
+//! One process-wide default registry lives behind [`registry`]. A thread
+//! that has installed a [`crate::Scope`] records into that scope's own
+//! registry instead; see [`crate::scope`] for the routing rules.
 //!
 //! # Labels
 //!
@@ -13,28 +17,57 @@
 //! `qukit_obs_label_cardinality_limited_total` — an unbounded label value
 //! (a user id, say) cannot grow the registry without bound.
 
-use std::collections::BTreeMap;
+use crate::span::{TraceEvent, TRACE_CAPACITY};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// Recording switch. Off by default; when off, every record call is a
-/// single relaxed load plus a predictable branch.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Recording gate. Bit 0 is the process-wide switch of [`set_enabled`];
+/// the bits above count the scope guards installed on any thread, in
+/// units of [`SCOPE_UNIT`]. With neither, every record call is a single
+/// relaxed load plus a predictable branch.
+pub(crate) static GATE: AtomicUsize = AtomicUsize::new(0);
 
-/// Globally enables or disables metric and trace recording.
-pub fn set_enabled(on: bool) {
-    if on {
+/// The process-wide switch's bit in [`GATE`].
+const SWITCH: usize = 1;
+
+/// What one installed scope guard adds to [`GATE`].
+pub(crate) const SCOPE_UNIT: usize = 2;
+
+/// Turns recording into the process default registry on or off and
+/// returns the previous setting, so a caller can restore it. Threads with
+/// an installed [`crate::Scope`] record into their scope either way.
+pub fn set_enabled(on: bool) -> bool {
+    let before = if on {
         crate::span::init_epoch();
-    }
-    ENABLED.store(on, Ordering::SeqCst);
+        GATE.fetch_or(SWITCH, Ordering::SeqCst)
+    } else {
+        GATE.fetch_and(!SWITCH, Ordering::SeqCst)
+    };
+    before & SWITCH != 0
 }
 
-/// Whether recording is currently enabled.
+/// Whether recording is enabled on this thread: the process-wide switch
+/// is on, or a [`crate::Scope`] is installed here.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    match GATE.load(Ordering::Relaxed) {
+        0 => false,
+        gate => gate & SWITCH != 0 || crate::scope::installed_here(),
+    }
+}
+
+/// Runs `f` on the registry this thread records into: its installed
+/// scope's, else the process default.
+pub(crate) fn with_current<R>(f: impl FnOnce(&MetricsRegistry) -> R) -> R {
+    if GATE.load(Ordering::Relaxed) >= SCOPE_UNIT {
+        if let Some(scoped) = crate::scope::installed() {
+            return f(&scoped);
+        }
+    }
+    f(registry())
 }
 
 /// Default histogram buckets for durations in seconds (1 µs … 1 s, with an
@@ -178,7 +211,7 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Adds `delta`; a no-op while recording is disabled.
+    /// Adds `delta`; a no-op while recording is disabled on this thread.
     #[inline]
     pub fn add(&self, delta: u64) {
         if enabled() {
@@ -379,14 +412,17 @@ impl Snapshot {
     }
 }
 
-/// Registry of every named metric. One global instance lives behind
-/// [`registry`]; separate instances exist only for tests.
+/// Registry of every named metric plus its own bounded span ring buffer.
+/// The process default lives behind [`registry`]; each [`crate::Scope`]
+/// owns another.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     help: Mutex<BTreeMap<String, String>>,
+    trace: Mutex<VecDeque<TraceEvent>>,
+    trace_dropped: AtomicU64,
 }
 
 impl MetricsRegistry {
@@ -554,6 +590,33 @@ impl MetricsRegistry {
         self.help.lock().expect("help map lock").insert(name.to_owned(), help.to_owned());
     }
 
+    /// Appends a completed span to the ring buffer, evicting (and
+    /// counting) the oldest event once [`TRACE_CAPACITY`] is reached.
+    pub(crate) fn push_event(&self, event: TraceEvent) {
+        let mut buffer = self.trace.lock().expect("trace buffer lock");
+        if buffer.len() == TRACE_CAPACITY {
+            buffer.pop_front();
+            self.trace_dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        buffer.push_back(event);
+    }
+
+    /// Copies the trace buffer, oldest event first.
+    pub fn trace(&self) -> Vec<TraceEvent> {
+        self.trace.lock().expect("trace buffer lock").iter().cloned().collect()
+    }
+
+    /// Drains the trace buffer, oldest event first.
+    pub fn drain_trace(&self) -> Vec<TraceEvent> {
+        self.trace.lock().expect("trace buffer lock").drain(..).collect()
+    }
+
+    /// Trace events evicted from the full ring buffer since the last
+    /// [`Self::reset`].
+    pub fn trace_events_dropped(&self) -> u64 {
+        self.trace_dropped.load(Ordering::Relaxed)
+    }
+
     /// Freezes every metric plus the trace buffer into a [`Snapshot`].
     /// The ring buffer's eviction count is surfaced as the
     /// `qukit_obs_trace_events_dropped_total` counter whenever any trace
@@ -580,8 +643,8 @@ impl MetricsRegistry {
             .iter()
             .map(|(name, h)| (name.clone(), h.snapshot()))
             .collect();
-        let trace = crate::span::snapshot_trace();
-        let dropped = crate::span::trace_events_dropped();
+        let trace = self.trace();
+        let dropped = self.trace_events_dropped();
         if dropped > 0 || !trace.is_empty() {
             counters.insert("qukit_obs_trace_events_dropped_total".to_owned(), dropped);
         }
@@ -596,115 +659,123 @@ impl MetricsRegistry {
         self.gauges.lock().expect("gauge map lock").clear();
         self.histograms.lock().expect("histogram map lock").clear();
         self.help.lock().expect("help map lock").clear();
-        crate::span::clear_trace();
+        self.trace.lock().expect("trace buffer lock").clear();
+        self.trace_dropped.store(0, Ordering::Relaxed);
     }
 }
 
-/// The process-wide registry every instrumented crate records into.
+/// The process-wide default registry: where recording goes on threads
+/// without an installed [`crate::Scope`]. Always the default, even on a
+/// thread with a scope; use [`crate::Scope::registry`] for a scope's.
 pub fn registry() -> &'static MetricsRegistry {
     static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
     REGISTRY.get_or_init(MetricsRegistry::default)
 }
 
-/// Handle to the named global counter (for hot loops that cache it).
+// The free functions below act on this thread's current registry: its
+// installed scope's, else the process default.
+
+/// Handle to the named counter (for hot loops that cache it).
 pub fn counter(name: &str) -> Arc<Counter> {
-    registry().counter(name)
+    with_current(|registry| registry.counter(name))
 }
 
-/// Handle to the named, labeled global counter (cardinality-guarded;
-/// invalid names yield a detached counter, counted as rejected).
+/// Handle to the named, labeled counter (cardinality-guarded; invalid
+/// names yield a detached counter, counted as rejected).
 pub fn counter_with(name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-    registry().try_counter_with(name, labels).unwrap_or_else(|_| registry().rejected_counter())
+    with_current(|registry| {
+        registry.try_counter_with(name, labels).unwrap_or_else(|_| registry.rejected_counter())
+    })
 }
 
-/// Adds `delta` to the named global counter.
+/// Adds `delta` to the named counter.
 pub fn counter_add(name: &str, delta: u64) {
     if enabled() {
-        registry().counter(name).add(delta);
+        counter(name).add(delta);
     }
 }
 
-/// Adds one to the named global counter.
+/// Adds one to the named counter.
 pub fn counter_inc(name: &str) {
     counter_add(name, 1);
 }
 
-/// Adds `delta` to the named, labeled global counter.
+/// Adds `delta` to the named, labeled counter.
 pub fn counter_add_with(name: &str, labels: &[(&str, &str)], delta: u64) {
     if enabled() {
         counter_with(name, labels).add(delta);
     }
 }
 
-/// Adds one to the named, labeled global counter.
+/// Adds one to the named, labeled counter.
 pub fn counter_inc_with(name: &str, labels: &[(&str, &str)]) {
     counter_add_with(name, labels, 1);
 }
 
-/// Handle to the named global gauge.
+/// Handle to the named gauge.
 pub fn gauge(name: &str) -> Arc<Gauge> {
-    registry().gauge(name)
+    with_current(|registry| registry.gauge(name))
 }
 
-/// Sets the named global gauge.
+/// Sets the named gauge.
 pub fn gauge_set(name: &str, value: f64) {
     if enabled() {
-        registry().gauge(name).set(value);
+        gauge(name).set(value);
     }
 }
 
-/// Sets the named, labeled global gauge.
+/// Sets the named, labeled gauge.
 pub fn gauge_set_with(name: &str, labels: &[(&str, &str)], value: f64) {
     if enabled() {
-        if let Ok(gauge) = registry().try_gauge_with(name, labels) {
-            gauge.set(value);
-        } else {
-            registry().note_rejected_name();
-        }
+        with_current(|registry| match registry.try_gauge_with(name, labels) {
+            Ok(gauge) => gauge.set(value),
+            Err(_) => registry.note_rejected_name(),
+        });
     }
 }
 
-/// Adds `delta` (may be negative) to the named global gauge.
+/// Adds `delta` (may be negative) to the named gauge.
 pub fn gauge_add(name: &str, delta: f64) {
     if enabled() {
-        registry().gauge(name).add(delta);
+        gauge(name).add(delta);
     }
 }
 
-/// Handle to the named global histogram with the given bounds (first
+/// Handle to the named histogram with the given bounds (first
 /// registration wins).
 pub fn histogram(name: &str, bounds: &[f64]) -> Arc<Histogram> {
-    registry().histogram(name, bounds)
+    with_current(|registry| registry.histogram(name, bounds))
 }
 
-/// Records one observation into the named global histogram, registering it
-/// with [`DURATION_BUCKETS`] on first use.
+/// Records one observation into the named histogram, registering it with
+/// [`DURATION_BUCKETS`] on first use.
 pub fn observe(name: &str, value: f64) {
     if enabled() {
-        registry().histogram(name, &DURATION_BUCKETS).observe(value);
+        histogram(name, &DURATION_BUCKETS).observe(value);
     }
 }
 
-/// Records one observation into the named, labeled global histogram
+/// Records one observation into the named, labeled histogram
 /// ([`DURATION_BUCKETS`] on first use, cardinality-guarded).
 pub fn observe_with(name: &str, labels: &[(&str, &str)], value: f64) {
     if enabled() {
-        if let Ok(hist) = registry().try_histogram_with(name, labels, &DURATION_BUCKETS) {
-            hist.observe(value);
-        } else {
-            registry().note_rejected_name();
-        }
+        with_current(|registry| {
+            match registry.try_histogram_with(name, labels, &DURATION_BUCKETS) {
+                Ok(hist) => hist.observe(value),
+                Err(_) => registry.note_rejected_name(),
+            }
+        });
     }
 }
 
-/// Records a duration in seconds into the named global histogram.
+/// Records a duration in seconds into the named histogram.
 pub fn observe_duration(name: &str, duration: Duration) {
     observe(name, duration.as_secs_f64());
 }
 
 /// Attaches Prometheus HELP text to a base metric name.
 pub fn describe(name: &str, help: &str) {
-    registry().describe(name, help);
+    with_current(|registry| registry.describe(name, help));
 }
 
 #[cfg(test)]

@@ -15,15 +15,14 @@
 //!
 //! Ids are 53-bit so they survive a JSON number roundtrip exactly.
 
-use crate::registry::{enabled, registry, DURATION_BUCKETS};
+use crate::registry::{enabled, with_current, DURATION_BUCKETS};
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Capacity of the global trace ring buffer; the oldest events are dropped
-/// once it is full (counted by [`trace_events_dropped`]).
+/// Capacity of each registry's trace ring buffer; the oldest events are
+/// dropped once it is full (counted by [`trace_events_dropped`]).
 pub const TRACE_CAPACITY: usize = 4096;
 
 /// One completed span, as stored in the trace ring buffer.
@@ -70,40 +69,25 @@ impl TraceEvent {
     }
 }
 
-fn trace_buffer() -> &'static Mutex<VecDeque<TraceEvent>> {
-    static TRACE: OnceLock<Mutex<VecDeque<TraceEvent>>> = OnceLock::new();
-    TRACE.get_or_init(|| Mutex::new(VecDeque::new()))
-}
-
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
 /// Pins the trace epoch to "now" if it is not set yet. Called by
-/// [`crate::set_enabled`] so timestamps taken before the first span (a
-/// job's `submitted_at`, say) cannot precede the epoch.
+/// [`crate::set_enabled`] and [`crate::Scope::install`] so timestamps
+/// taken before the first span (a job's `submitted_at`, say) cannot
+/// precede the epoch.
 pub(crate) fn init_epoch() {
     let _ = epoch();
 }
 
-/// Events evicted from the full ring buffer since the last reset.
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of trace events silently evicted from the ring buffer since the
-/// last [`crate::reset`]. Surfaced in snapshots as the
+/// Number of trace events silently evicted from the current registry's
+/// ring buffer (this thread's scope, else the process default) since its
+/// last reset. Surfaced in snapshots as the
 /// `qukit_obs_trace_events_dropped_total` counter.
 pub fn trace_events_dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
-fn push_event(event: TraceEvent) {
-    let mut buffer = trace_buffer().lock().expect("trace buffer lock");
-    if buffer.len() == TRACE_CAPACITY {
-        buffer.pop_front();
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-    }
-    buffer.push_back(event);
+    with_current(|registry| registry.trace_events_dropped())
 }
 
 /// Fixed seed for the id sequence: deterministic per process run, no
@@ -258,8 +242,9 @@ impl Span {
         Self { inner: None }
     }
 
-    /// Also observes the span duration into the named global histogram
-    /// (registered with [`DURATION_BUCKETS`]) when the span closes.
+    /// Also observes the span duration into the named histogram
+    /// (registered with [`DURATION_BUCKETS`]) when the span closes, in the
+    /// same registry as the span's event.
     pub fn with_metric(mut self, histogram: &str) -> Self {
         if let Some(inner) = self.inner.as_mut() {
             inner.metric = Some(histogram.to_owned());
@@ -285,18 +270,20 @@ impl Drop for Span {
         let duration = inner.start.elapsed();
         DEPTH.with(|d| d.set(inner.depth));
         CURRENT.with(|c| c.set(inner.prev_current));
-        if let Some(metric) = &inner.metric {
-            registry().histogram(metric, &DURATION_BUCKETS).observe(duration.as_secs_f64());
-        }
-        push_event(TraceEvent {
-            name: inner.name,
-            detail: inner.detail,
-            depth: inner.depth,
-            start_us: inner.start_us,
-            duration_us: duration.as_micros() as u64,
-            trace_id: inner.trace_id,
-            span_id: inner.span_id,
-            parent_id: inner.parent_id,
+        with_current(|registry| {
+            if let Some(metric) = &inner.metric {
+                registry.histogram(metric, &DURATION_BUCKETS).observe(duration.as_secs_f64());
+            }
+            registry.push_event(TraceEvent {
+                name: inner.name,
+                detail: inner.detail,
+                depth: inner.depth,
+                start_us: inner.start_us,
+                duration_us: duration.as_micros() as u64,
+                trace_id: inner.trace_id,
+                span_id: inner.span_id,
+                parent_id: inner.parent_id,
+            });
         });
     }
 }
@@ -320,7 +307,7 @@ pub fn record_span_at(
         return;
     }
     let start_us = start.checked_duration_since(epoch()).unwrap_or_default().as_micros() as u64;
-    push_event(TraceEvent {
+    let event = TraceEvent {
         name: name.into(),
         detail: detail.into(),
         depth,
@@ -329,22 +316,19 @@ pub fn record_span_at(
         trace_id,
         span_id,
         parent_id,
-    });
+    };
+    with_current(|registry| registry.push_event(event));
 }
 
-/// Copies the trace buffer, oldest event first.
+/// Copies the current registry's trace buffer (this thread's scope, else
+/// the process default), oldest event first.
 pub fn snapshot_trace() -> Vec<TraceEvent> {
-    trace_buffer().lock().expect("trace buffer lock").iter().cloned().collect()
+    with_current(|registry| registry.trace())
 }
 
-/// Drains the trace buffer, oldest event first.
+/// Drains the current registry's trace buffer, oldest event first.
 pub fn drain_trace() -> Vec<TraceEvent> {
-    trace_buffer().lock().expect("trace buffer lock").drain(..).collect()
-}
-
-pub(crate) fn clear_trace() {
-    trace_buffer().lock().expect("trace buffer lock").clear();
-    DROPPED.store(0, Ordering::Relaxed);
+    with_current(|registry| registry.drain_trace())
 }
 
 /// Opens a [`Span`]: `span!("transpile.pass", pass = name)`.
@@ -418,7 +402,7 @@ mod tests {
     fn disabled_spans_record_nothing() {
         let _guard = crate::test_lock();
         set_enabled(false);
-        clear_trace();
+        crate::registry().drain_trace();
         {
             let span = crate::span!("test.disabled", ignored = 1);
             assert_eq!(span.elapsed(), Duration::ZERO);

@@ -48,24 +48,18 @@ fn stress_circuit(seed: u64) -> QuantumCircuit {
     circ
 }
 
-/// Both tests run the DD engine, and the first reads the process-global
-/// GC counters: a concurrent run of the second would land in them.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[test]
 fn long_random_circuit_is_gc_bounded_and_amplitude_exact() {
-    let _serial = serial();
     let circ = stress_circuit(0xDD5);
     assert!(circ.num_gates() >= GATES);
 
-    qukit_obs::set_enabled(true);
-    qukit_obs::reset();
-    let state = DdSimulator::new().run(&circ).expect("dd run");
-    let snapshot = qukit_obs::registry().snapshot();
-    qukit_obs::set_enabled(false);
+    // A scope of its own: GC runs of concurrent tests cannot land in it.
+    let scope = qukit_obs::Scope::new();
+    let state = {
+        let _installed = scope.install();
+        DdSimulator::new().run(&circ).expect("dd run")
+    };
+    let snapshot = scope.snapshot();
 
     // The GC actually ran and reclaimed dead nodes.
     let stats = state.package.stats();
@@ -109,7 +103,6 @@ fn long_random_circuit_is_gc_bounded_and_amplitude_exact() {
 fn gc_runs_are_deterministic() {
     // Same circuit, two runs: identical stats and identical final state —
     // the GC must not introduce nondeterminism.
-    let _serial = serial();
     let circ = stress_circuit(77);
     let a = DdSimulator::new().run(&circ).expect("dd run");
     let b = DdSimulator::new().run(&circ).expect("dd run");

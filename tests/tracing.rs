@@ -3,8 +3,8 @@
 //! the Prometheus export, and trace ids must survive a crash/recovery
 //! cycle through the journal.
 //!
-//! These tests toggle the process-global metrics registry, so they
-//! serialize on a local lock (same discipline as the bench load tests).
+//! Each test records into a `qukit_obs::Scope` of its own; the executors
+//! it builds carry that scope to their workers.
 
 use qukit::fault::{FaultInjectingBackend, FaultMode};
 use qukit::job::{ExecutorConfig, JobExecutor, SubmitOptions};
@@ -15,11 +15,6 @@ use qukit::{CacheConfig, QasmSimulatorBackend, QuantumCircuit};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn bell() -> QuantumCircuit {
     let mut circ = QuantumCircuit::new(2);
@@ -82,9 +77,8 @@ fn submit_opts(tenant: &str) -> SubmitOptions {
 /// in the Prometheus export.
 #[test]
 fn jobs_emit_nested_waterfalls_with_tenant_labels() {
-    let _guard = lock();
-    qukit_obs::set_enabled(true);
-    qukit_obs::reset();
+    let scope = qukit_obs::Scope::new();
+    let installed = scope.install();
 
     // A fake device so the waterfall includes the transpiler layer
     // (the plain qasm_simulator accepts circuits untranspiled). The
@@ -121,8 +115,8 @@ fn jobs_emit_nested_waterfalls_with_tenant_labels() {
     assert!(job_c.served_from_cache(), "same content must hit the result cache");
     executor.shutdown();
 
-    let snapshot = qukit_obs::registry().snapshot();
-    qukit_obs::set_enabled(false);
+    let snapshot = scope.snapshot();
+    drop(installed);
 
     let trees: BTreeMap<u64, qukit_obs::SpanTree> = qukit_obs::assemble_trees(&snapshot.trace)
         .into_iter()
@@ -210,9 +204,8 @@ fn jobs_emit_nested_waterfalls_with_tenant_labels() {
 /// one — so a trace started before the crash stays addressable after.
 #[test]
 fn recovery_preserves_trace_ids_across_crash() {
-    let _guard = lock();
-    qukit_obs::set_enabled(true);
-    qukit_obs::reset();
+    let scope = qukit_obs::Scope::new();
+    let installed = scope.install();
 
     let dir = TempDir::new("trace_ids");
     let mut original: BTreeMap<u64, u64> = BTreeMap::new();
@@ -289,8 +282,8 @@ fn recovery_preserves_trace_ids_across_crash() {
 
     // The replayed executions record spans under the *original* trace
     // ids, so pre- and post-crash spans stitch into one trace.
-    let trace = qukit_obs::snapshot_trace();
-    qukit_obs::set_enabled(false);
+    let trace = scope.registry().trace();
+    drop(installed);
     let replayed: Vec<&u64> = original
         .values()
         .filter(|id| trace.iter().any(|e| e.trace_id == **id && e.name == "job"))
