@@ -14,6 +14,7 @@
 //! in [`crate::density`] applies the same channels exactly.
 
 use qukit_terra::complex::{c64, Complex};
+use qukit_terra::hash::FnvHasher;
 use qukit_terra::matrix::Matrix;
 use rand::Rng;
 use std::collections::HashMap;
@@ -213,6 +214,16 @@ impl QuantumError {
     /// Number of qubits the channel acts on.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
+    }
+
+    /// Feeds the Kraus operators into `hasher`, each entry as two f64 words.
+    fn hash_fields(&self, hasher: &mut FnvHasher) {
+        hasher.u64(self.num_qubits as u64);
+        hasher.u64(self.kraus.len() as u64);
+        for entry in self.kraus.iter().flat_map(Matrix::as_slice) {
+            hasher.f64(entry.re);
+            hasher.f64(entry.im);
+        }
     }
 
     /// Verifies the completeness relation `Σ K†K = I`.
@@ -427,6 +438,31 @@ impl NoiseModel {
     /// Returns `true` when the model contains no errors at all.
     pub fn is_ideal(&self) -> bool {
         self.gate_errors.is_empty() && self.local_errors.is_empty() && self.readout.is_none()
+    }
+
+    /// Feeds the model into `hasher` field by field: the gate-wide, then
+    /// the local errors in sorted key order (map order differs between
+    /// equal models), then the readout error.
+    pub fn hash_fields(&self, hasher: &mut FnvHasher) {
+        let mut gate_errors: Vec<_> = self.gate_errors.iter().collect();
+        gate_errors.sort_unstable_by_key(|&(name, _)| name);
+        hasher.u64(gate_errors.len() as u64);
+        for (name, error) in gate_errors {
+            hasher.field(name.as_bytes());
+            error.hash_fields(hasher);
+        }
+        let mut local_errors: Vec<_> = self.local_errors.iter().collect();
+        local_errors.sort_unstable_by_key(|&(key, _)| key);
+        hasher.u64(local_errors.len() as u64);
+        for ((name, qubits), error) in local_errors {
+            hasher.field(name.as_bytes());
+            hasher.u64(qubits.len() as u64);
+            qubits.iter().for_each(|&q| hasher.u64(q as u64));
+            error.hash_fields(hasher);
+        }
+        let readout = self.readout.map(|r| [r.prob_1_given_0, r.prob_0_given_1]);
+        hasher.field(&[u8::from(readout.is_some())]);
+        readout.into_iter().flatten().for_each(|p| hasher.f64(p));
     }
 
     /// Rewrites the model for a relabeled qubit space: every local error's

@@ -49,6 +49,7 @@ use crate::error::{AerError, Result};
 use crate::simd::{complex_mul2, neg_im_vec, simd_default, F64x4};
 use crate::simulator::GateTally;
 use crate::statevector::Statevector;
+use qukit_obs::rng::{mix64, GOLDEN_GAMMA};
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::complex::Complex;
 use qukit_terra::fusion::{controlled_form, fuse, FusedOp, FusedProgram, FusionConfig};
@@ -171,12 +172,9 @@ pub(crate) fn parse_bool_flag(value: &str) -> Option<bool> {
 }
 
 /// Derives the RNG seed for one sampling/trajectory batch from the run
-/// seed (SplitMix64-style mixing; batch boundaries are thread-independent).
+/// seed (SplitMix64 mixing; batch boundaries are thread-independent).
 pub(crate) fn batch_seed(seed: u64, batch: u64) -> u64 {
-    let mut z = seed ^ batch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(seed ^ batch.wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// A 2×2 pair update, pre-classified by entry structure so the hot loop
@@ -1246,6 +1244,23 @@ pub(crate) fn evolve_unitary(
 mod tests {
     use super::*;
     use qukit_terra::gate::Gate;
+
+    #[test]
+    fn batch_seeds_are_pinned() {
+        let seeds: Vec<u64> = [(0, 0), (7, 0), (7, 3), (u64::MAX, 41)]
+            .into_iter()
+            .map(|(seed, batch)| batch_seed(seed, batch))
+            .collect();
+        assert_eq!(
+            seeds,
+            vec![
+                0,
+                1_346_066_267_577_507_604,
+                16_731_224_329_868_871_185,
+                14_698_730_054_694_392_885
+            ]
+        );
+    }
 
     fn random_gates(seed: u64, n: usize, count: usize) -> Vec<Instruction> {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -198,11 +198,10 @@ fn sweep(threads: &[usize], large_statevector: bool) -> Vec<(String, QuantumCirc
 
 /// Runs the full sweep and returns the baseline.
 ///
-/// When `collect_metrics` is on, the global metrics registry is reset
-/// before (and snapshot after) each run, so each entry's `metrics` map
-/// reflects that run alone. The registry is left disabled afterwards.
+/// When `collect_metrics` is on, each run records into a fresh
+/// [`qukit_obs::Scope`], so each entry's `metrics` map reflects that run
+/// alone; the process-wide registry and its switch are left alone.
 pub fn run_baseline(config: &BaselineConfig) -> Baseline {
-    let was_enabled = qukit_obs::enabled();
     let mut entries = Vec::new();
     for (circuit_name, circuit, engines) in sweep(&config.threads, config.large_statevector) {
         for engine_name in engines {
@@ -211,17 +210,15 @@ pub fn run_baseline(config: &BaselineConfig) -> Baseline {
             let mut wall_seconds = f64::INFINITY;
             let mut metrics = BTreeMap::new();
             for _ in 0..config.repeats.max(1) {
-                if config.collect_metrics {
-                    qukit_obs::set_enabled(true);
-                    qukit_obs::reset();
-                }
+                let scope = config.collect_metrics.then(qukit_obs::Scope::new);
+                let installed = scope.as_ref().map(qukit_obs::Scope::install);
                 let start = std::time::Instant::now();
                 let counts = engine.run(&measured, config.shots).expect("baseline run");
                 wall_seconds = wall_seconds.min(elapsed_seconds(start));
+                drop(installed);
                 assert_eq!(counts.total(), config.shots, "baseline runs sample every shot");
-                if config.collect_metrics {
-                    let snapshot = qukit_obs::registry().snapshot();
-                    qukit_obs::set_enabled(was_enabled);
+                if let Some(scope) = scope {
+                    let snapshot = scope.snapshot();
                     let mut flat: BTreeMap<String, f64> = BTreeMap::new();
                     for (name, value) in &snapshot.counters {
                         flat.insert(name.clone(), *value as f64);
@@ -246,7 +243,6 @@ pub fn run_baseline(config: &BaselineConfig) -> Baseline {
     annotate_simd_speedups(&mut entries);
     entries.extend(transpiler_entries(config));
     entries.extend(sweep_entries(config));
-    qukit_obs::set_enabled(was_enabled);
     Baseline { entries }
 }
 
@@ -680,11 +676,8 @@ fn fmt_f64(value: f64) -> String {
 mod tests {
     use super::*;
 
-    use crate::registry_lock as lock;
-
     #[test]
     fn baseline_covers_at_least_eight_circuit_engine_pairs() {
-        let _guard = lock();
         let baseline = run_baseline(&BaselineConfig { shots: 64, ..Default::default() });
         assert!(baseline.entries.len() >= 8, "only {} entries", baseline.entries.len());
         let mut pairs: Vec<(String, String)> =
@@ -698,7 +691,6 @@ mod tests {
 
     #[test]
     fn baseline_entries_embed_engine_metrics() {
-        let _guard = lock();
         let baseline = run_baseline(&BaselineConfig { shots: 32, ..Default::default() });
         let dd =
             baseline.entries.iter().find(|e| e.engine == "dd_simulator").expect("dd entries exist");
@@ -717,7 +709,6 @@ mod tests {
 
     #[test]
     fn baseline_covers_routing_and_cache_entries() {
-        let _guard = lock();
         let baseline = run_baseline(&BaselineConfig { shots: 16, ..Default::default() });
         for circuit in ["qft_12", "random_12x200"] {
             for engine in ["transpile[sabre]", "transpile[astar]"] {
@@ -754,7 +745,6 @@ mod tests {
 
     #[test]
     fn baseline_json_round_trips() {
-        let _guard = lock();
         let baseline = run_baseline(&BaselineConfig { shots: 16, ..Default::default() });
         let json = baseline.to_json();
         let parsed = Baseline::from_json(&json).expect("own output validates");
@@ -815,7 +805,6 @@ mod tests {
 
     #[test]
     fn sweep_entries_record_batch_speedup_and_identical_results() {
-        let _guard = lock();
         let config = BaselineConfig {
             shots: 64,
             repeats: 1,
@@ -836,7 +825,6 @@ mod tests {
 
     #[test]
     fn sweep_covers_wide_circuits_at_every_thread_count() {
-        let _guard = lock();
         let config =
             BaselineConfig { shots: 16, repeats: 1, threads: vec![1, 2], ..Default::default() };
         let baseline = run_baseline(&config);
@@ -908,7 +896,6 @@ mod tests {
 
     #[test]
     fn metrics_can_be_disabled_for_overhead_runs() {
-        let _guard = lock();
         let config = BaselineConfig { shots: 16, collect_metrics: false, ..Default::default() };
         let baseline = run_baseline(&config);
         assert!(baseline.entries.iter().all(|e| e.metrics.is_empty()));

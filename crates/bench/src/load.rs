@@ -21,6 +21,7 @@ use qukit::job::{ExecutorConfig, Job, JobEvent, JobExecutor, JobObserver, JobSta
 use qukit::provider::Provider;
 use qukit::terra::circuit::QuantumCircuit;
 use qukit::{CacheConfig, Priority, QasmSimulatorBackend, RetryPolicy, TenantConfig};
+use qukit_obs::rng::splitmix64;
 
 use crate::baseline::{Baseline, BaselineEntry};
 
@@ -121,6 +122,9 @@ pub struct LoadReport {
     /// Per-tenant service numbers, read back from the tenant-labeled
     /// `qukit_core_tenant_*` metric series (ascending by tenant name).
     pub tenants: Vec<TenantBreakdown>,
+    /// The run's spans, oldest first (bounded by
+    /// [`qukit_obs::TRACE_CAPACITY`]), for Chrome-trace export.
+    pub trace: Vec<qukit_obs::TraceEvent>,
 }
 
 /// One tenant's slice of a load run, as told by the labeled metrics.
@@ -270,14 +274,6 @@ fn pool_max_qubits(size: usize) -> usize {
     payload_pool(size).iter().map(QuantumCircuit::num_qubits).max().unwrap_or(0)
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Observes completion events to detect duplicated terminals — the
 /// "every job terminal exactly once" service invariant, checked from
 /// the outside through the public observer API.
@@ -295,14 +291,14 @@ impl JobObserver for CompletionLedger {
 
 /// Runs one load-generator pass and reports service-level metrics.
 ///
-/// Metrics recording is force-enabled for the duration of the run (the
-/// latency quantiles come from the `qukit_core_job_seconds` histogram)
-/// and restored afterwards. The global registry is reset first, so run
-/// this from a context that owns the registry (the CLI does; tests
-/// serialize on a lock).
+/// The run records into a [`qukit_obs::Scope`] of its own, installed on
+/// the calling thread and inherited by the executor's workers: the
+/// latency quantiles come from its `qukit_core_job_seconds` histogram,
+/// and its spans become [`LoadReport::trace`]. The process-wide registry
+/// and its switch are left alone, so runs can proceed concurrently.
 pub fn run_load(config: &LoadConfig) -> LoadReport {
-    let was_enabled = qukit_obs::set_enabled(true);
-    qukit_obs::registry().reset();
+    let scope = qukit_obs::Scope::new();
+    let _installed = scope.install();
 
     let pool = payload_pool(config.payload_pool);
     let mut provider = Provider::new();
@@ -387,9 +383,8 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     let hits = qukit_obs::counter("qukit_core_cache_hits_total").value();
     let misses = qukit_obs::counter("qukit_core_cache_misses_total").value();
     let probes = hits + misses;
-    let tenants = tenant_breakdown(&qukit_obs::registry().snapshot());
-
-    qukit_obs::set_enabled(was_enabled);
+    let recorded = scope.snapshot();
+    let tenants = tenant_breakdown(&recorded);
 
     LoadReport {
         submitted,
@@ -407,6 +402,7 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
         shed_rate: if submitted == 0 { 0.0 } else { shed as f64 / submitted as f64 },
         cache_hit_rate: if probes == 0 { 0.0 } else { hits as f64 / probes as f64 },
         tenants,
+        trace: recorded.trace,
     }
 }
 
@@ -414,11 +410,8 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
 mod tests {
     use super::*;
 
-    use crate::registry_lock as lock;
-
     #[test]
     fn load_run_loses_nothing_and_hits_the_cache() {
-        let _guard = lock();
         let config = LoadConfig::smoke();
         let report = run_load(&config);
         assert_eq!(report.submitted, config.jobs);
@@ -434,11 +427,14 @@ mod tests {
         assert!(report.p99_seconds >= report.p50_seconds);
         assert!(report.p50_seconds > 0.0);
         assert!(report.throughput_jobs_per_sec > 0.0);
+        assert!(
+            report.trace.iter().any(|event| event.name == "job.attempt"),
+            "the report carries the run's spans, worker threads included"
+        );
     }
 
     #[test]
     fn load_report_breaks_service_numbers_down_per_tenant() {
-        let _guard = lock();
         let config = LoadConfig { tenants: 3, jobs: 24, ..LoadConfig::smoke() };
         let report = run_load(&config);
         assert_eq!(report.tenants.len(), 3, "one breakdown row per tenant");
@@ -455,7 +451,6 @@ mod tests {
 
     #[test]
     fn load_report_round_trips_through_the_baseline_schema() {
-        let _guard = lock();
         let config = LoadConfig { tenants: 2, jobs: 16, payload_pool: 2, ..LoadConfig::smoke() };
         let report = run_load(&config);
         let baseline = report.to_baseline(&config);

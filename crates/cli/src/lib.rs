@@ -1127,10 +1127,9 @@ fn bench_load(rest: &[&String], out: &mut impl Write) -> Result<(), CliError> {
             Some(v) => Some(parse_number(v, "trace sampling interval")?),
             None => None,
         };
-        // run_load resets the registry on entry and restores the
-        // enabled flag on exit, so the ring buffer still holds exactly
-        // this run's spans here.
-        write_trace_out(path, slow_ms, sample, &qukit_obs::snapshot_trace(), out)?;
+        // run_load records into a scope of its own and hands back
+        // exactly this run's spans.
+        write_trace_out(path, slow_ms, sample, &report.trace, out)?;
     }
     if flag_present(rest, "--json") {
         let json = report.to_baseline(&config).to_json();
@@ -1697,10 +1696,10 @@ mod tests {
     }
 
     /// Serializes the tests that use or read the process-wide default
-    /// registry and its switch: `bench` (per-entry and `--load`
-    /// metrics) and `serve-metrics`. `run`/`jobs`/`fuzz` with
-    /// `--metrics`/`--trace` record into a scope of their own and need
-    /// no lock.
+    /// registry and its switch: `serve-metrics` and the check that a
+    /// failed command leaves the switch alone. `run`/`jobs`/`fuzz` with
+    /// `--metrics`/`--trace` and `bench` (per-entry and `--load`
+    /// metrics) record into scopes of their own and need no lock.
     fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -1824,7 +1823,6 @@ mod tests {
 
     #[test]
     fn bench_emits_and_stats_renders_a_valid_baseline() {
-        let _guard = obs_lock();
         let out_file = temp_json("bench");
         let text = run_ok(&["bench", "--json", "--out", out_file.as_str(), "--shots", "16"]);
         assert!(text.contains("baseline written to"), "{text}");
@@ -2106,7 +2104,6 @@ mod tests {
 
     #[test]
     fn bench_load_reports_service_metrics_and_valid_baseline() {
-        let _guard = obs_lock();
         let out_file = temp_json("load");
         let text = run_ok(&[
             "bench",
@@ -2143,7 +2140,6 @@ mod tests {
 
     #[test]
     fn bench_thread_sweep_emits_parallel_entries() {
-        let _guard = obs_lock();
         let out_file = temp_json("bench_threads");
         run_ok(&[
             "bench",

@@ -8,6 +8,7 @@
 
 use crate::runner::Mismatch;
 use qukit_terra::circuit::QuantumCircuit;
+use qukit_terra::hash::fnv1a64;
 
 /// A self-contained description of one shrunk failure.
 #[derive(Debug, Clone)]
@@ -24,7 +25,9 @@ impl Reproducer {
     /// Builds the reproducer artifacts for a shrunk failing circuit.
     pub fn new(circuit: &QuantumCircuit, mismatch: &Mismatch) -> Self {
         let qasm = qukit_terra::qasm::emit(circuit);
-        let slug = format!("{}_{:08x}", mismatch.oracle, fnv1a(qasm.as_bytes()) as u32);
+        // FNV-1a keeps slugs stable: the same shrunk circuit always maps
+        // to the same file name, so repeated fuzz runs dedupe naturally.
+        let slug = format!("{}_{:08x}", mismatch.oracle, fnv1a64(qasm.as_bytes()) as u32);
         let test_case = render_test(&slug, &qasm, mismatch);
         Self { slug, qasm, test_case }
     }
@@ -33,17 +36,6 @@ impl Reproducer {
     pub fn file_name(&self) -> String {
         format!("{}.qasm", self.slug)
     }
-}
-
-/// FNV-1a, used for slug stability: the same shrunk circuit always maps
-/// to the same file name, so repeated fuzz runs dedupe naturally.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn render_test(slug: &str, qasm: &str, mismatch: &Mismatch) -> String {
@@ -84,6 +76,18 @@ mod tests {
         assert_eq!(a.slug, b.slug);
         assert!(a.slug.starts_with("differential_"));
         assert!(a.file_name().ends_with(".qasm"));
+    }
+
+    #[test]
+    fn checked_in_reproducer_keeps_its_slug() {
+        // The file name was derived from the emitted QASM when the
+        // fuzzer found it; re-deriving it must give the same slug.
+        let path =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/repros/transpile_2ef7e921.qasm");
+        let source = std::fs::read_to_string(path).expect("checked-in reproducer");
+        let circuit = qukit_terra::qasm::parse(&source).expect("reproducer parses");
+        let mismatch = Mismatch { oracle: "transpile".to_owned(), detail: String::new() };
+        assert_eq!(Reproducer::new(&circuit, &mismatch).slug, "transpile_2ef7e921");
     }
 
     #[test]

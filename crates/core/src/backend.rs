@@ -16,6 +16,7 @@ use qukit_aer::simulator::QasmSimulator;
 use qukit_dd::simulator::DdSimulator;
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::coupling::CouplingMap;
+use qukit_terra::hash::FnvHasher;
 use qukit_terra::transpiler::{satisfies_coupling, MapperKind, TranspileOptions};
 
 /// A target that can execute circuits and return measurement histograms.
@@ -150,25 +151,13 @@ impl Backend for QasmSimulatorBackend {
     }
 
     fn run(&self, circuit: &QuantumCircuit, shots: usize) -> Result<Counts> {
-        let mut sim = QasmSimulator::new();
-        if let Some(seed) = self.seed {
-            sim = sim.with_seed(seed);
-        }
-        if let Some(parallel) = self.parallel {
-            sim = sim.with_parallel(parallel);
-        }
-        sim.run(circuit, shots).map_err(QukitError::from)
+        qasm_simulator(self.seed, self.parallel).run(circuit, shots).map_err(QukitError::from)
     }
 
     fn run_batch(&self, circuits: &[QuantumCircuit], shots: usize) -> Result<Vec<Counts>> {
-        let mut sim = QasmSimulator::new();
-        if let Some(seed) = self.seed {
-            sim = sim.with_seed(seed);
-        }
-        if let Some(parallel) = self.parallel {
-            sim = sim.with_parallel(parallel);
-        }
-        sim.run_batch(circuits, shots).map_err(QukitError::from)
+        qasm_simulator(self.seed, self.parallel)
+            .run_batch(circuits, shots)
+            .map_err(QukitError::from)
     }
 
     fn set_seed(&mut self, seed: u64) {
@@ -448,14 +437,10 @@ impl Backend for FakeDevice {
         // relabeled along with the qubits.
         let (compacted, remap) = compact_idle_qubits(to_run)?;
         let noise = self.noise.remapped(|q| remap.get(q).copied().flatten());
-        let mut sim = QasmSimulator::new().with_noise(noise);
-        if let Some(seed) = self.seed {
-            sim = sim.with_seed(seed);
-        }
-        if let Some(parallel) = self.parallel {
-            sim = sim.with_parallel(parallel);
-        }
-        sim.run(&compacted, shots).map_err(QukitError::from)
+        qasm_simulator(self.seed, self.parallel)
+            .with_noise(noise)
+            .run(&compacted, shots)
+            .map_err(QukitError::from)
     }
 
     fn prepare_circuit(&self, circuit: &QuantumCircuit) -> Result<QuantumCircuit> {
@@ -484,14 +469,9 @@ impl Backend for FakeDevice {
             let prepared = self.prepare_circuit(circuit)?;
             compacted.push(compact_idle_qubits(&prepared)?.0);
         }
-        let mut sim = QasmSimulator::new();
-        if let Some(seed) = self.seed {
-            sim = sim.with_seed(seed);
-        }
-        if let Some(parallel) = self.parallel {
-            sim = sim.with_parallel(parallel);
-        }
-        sim.run_batch(&compacted, shots).map_err(QukitError::from)
+        qasm_simulator(self.seed, self.parallel)
+            .run_batch(&compacted, shots)
+            .map_err(QukitError::from)
     }
 
     fn set_seed(&mut self, seed: u64) {
@@ -504,22 +484,43 @@ impl Backend for FakeDevice {
 
     fn fingerprint(&self) -> u64 {
         // The noise model and transpilation strategy shape the outcome
-        // distribution; Debug formatting is a stable-enough digest of
-        // both for cache keying.
-        crate::cache::fnv1a64(
-            format!(
-                "{}|{:?}|{:?}|{:?}|{:?}|{}",
-                self.name, self.noise, self.seed, self.mapper, self.layout, self.opt_level
-            )
-            .as_bytes(),
-        )
+        // distribution; each field is hashed as data, so equal
+        // configurations give equal fingerprints.
+        let mut hasher = seed_hasher(&self.name, self.seed);
+        self.noise.hash_fields(&mut hasher);
+        hasher.u64(self.mapper as u64);
+        self.layout.hash_fields(&mut hasher);
+        hasher.u64(u64::from(self.opt_level));
+        hasher.finish64()
     }
+}
+
+/// The statevector simulator every statevector backend runs: seeded and
+/// parallel-configured when the backend is.
+fn qasm_simulator(seed: Option<u64>, parallel: Option<ParallelConfig>) -> QasmSimulator {
+    let mut sim = QasmSimulator::new();
+    if let Some(seed) = seed {
+        sim = sim.with_seed(seed);
+    }
+    if let Some(parallel) = parallel {
+        sim = sim.with_parallel(parallel);
+    }
+    sim
 }
 
 /// Seed-sensitive fingerprint for plain simulator backends: the seed is
 /// the only configuration that changes their sampling stream.
 fn seed_fingerprint(tag: &str, seed: Option<u64>) -> u64 {
-    crate::cache::fnv1a64(format!("{tag}|{seed:?}").as_bytes())
+    seed_hasher(tag, seed).finish64()
+}
+
+/// A fingerprint hasher fed with a backend tag and its optional seed.
+fn seed_hasher(tag: &str, seed: Option<u64>) -> FnvHasher {
+    let mut hasher = FnvHasher::default();
+    hasher.field(tag.as_bytes());
+    hasher.field(&[u8::from(seed.is_some())]);
+    hasher.u64(seed.unwrap_or(0));
+    hasher
 }
 
 /// Rewrites a circuit onto only the qubits it actually touches (barriers
@@ -741,6 +742,92 @@ mod tests {
         assert!(noise.error_for("cx", &[0, 2]).is_none(), "uncalibrated pair has no entry");
         assert!(noise.error_for("u", &[2]).is_some());
         assert!(noise.readout_error().is_some());
+    }
+
+    #[test]
+    fn equal_configurations_have_equal_fingerprints() {
+        let a = FakeDevice::ibmqx4().with_seed(7);
+        let b = FakeDevice::ibmqx4().with_seed(7);
+        assert_eq!(a.fingerprint(), b.fingerprint(), "separately built, same configuration");
+        assert_eq!(a.fingerprint(), a.clone().fingerprint());
+        let seeded = || QasmSimulatorBackend::new().with_seed(3);
+        assert_eq!(seeded().fingerprint(), seeded().fingerprint());
+    }
+
+    #[test]
+    fn noise_fingerprint_ignores_insertion_order() {
+        let x = qukit_aer::noise::QuantumError::depolarizing(0.01, 1);
+        let cx = qukit_aer::noise::QuantumError::depolarizing(0.02, 2);
+        let mut forward = NoiseModel::new();
+        forward.add_all_qubit_error("x", x.clone());
+        forward.add_all_qubit_error("cx", cx.clone());
+        forward.add_local_error("cx", vec![0, 1], cx.clone());
+        forward.add_local_error("x", vec![2], x.clone());
+        let mut backward = NoiseModel::new();
+        backward.add_local_error("x", vec![2], x.clone());
+        backward.add_local_error("cx", vec![0, 1], cx.clone());
+        backward.add_all_qubit_error("cx", cx);
+        backward.add_all_qubit_error("x", x);
+        assert_eq!(
+            FakeDevice::ibmqx4().with_noise(forward).fingerprint(),
+            FakeDevice::ibmqx4().with_noise(backward).fingerprint()
+        );
+    }
+
+    #[test]
+    fn every_configuration_field_changes_the_fingerprint() {
+        let base = FakeDevice::ibmqx4().with_seed(7);
+        let calibration = DeviceCalibration::uniform(&CouplingMap::ibm_qx4(), 0.01, 0.001, 0.97);
+        let variants = [
+            ("name", FakeDevice::ibmqx2().with_seed(7)),
+            ("seed", base.clone().with_seed(8)),
+            ("no seed", FakeDevice::ibmqx4()),
+            ("gate noise", base.clone().with_noise(NoiseModel::depolarizing(0.001, 0.03, 0.03))),
+            ("readout", base.clone().with_noise(NoiseModel::depolarizing(0.001, 0.02, 0.04))),
+            ("no noise", base.clone().with_noise(NoiseModel::new())),
+            ("local noise", base.clone().with_noise(calibration.noise_model())),
+            ("mapper", base.clone().with_mapper(MapperKind::Sabre)),
+            (
+                "layout",
+                base.clone().with_calibration(&calibration).with_noise(base.noise().clone()),
+            ),
+            ("opt level", base.clone().with_opt_level(3)),
+        ];
+        let mut seen = vec![base.fingerprint()];
+        for (field, variant) in &variants {
+            let fingerprint = variant.fingerprint();
+            assert!(
+                !seen.contains(&fingerprint),
+                "changing the {field} must change the fingerprint"
+            );
+            seen.push(fingerprint);
+        }
+        let simulators = [
+            QasmSimulatorBackend::new().fingerprint(),
+            QasmSimulatorBackend::new().with_seed(1).fingerprint(),
+            QasmSimulatorBackend::new().with_seed(2).fingerprint(),
+            DdSimulatorBackend::new().with_seed(1).fingerprint(),
+            StabilizerBackend::new().with_seed(1).fingerprint(),
+        ];
+        for (i, a) in simulators.iter().enumerate() {
+            assert!(
+                simulators[i + 1..].iter().all(|b| a != b),
+                "simulator fingerprint {i} repeats"
+            );
+        }
+    }
+
+    #[test]
+    fn count_corruption_salts_the_fingerprint() {
+        use crate::fault::{FaultInjectingBackend, FaultMode};
+        let clean = FakeDevice::ibmqx4().with_seed(7);
+        let wrap = |mode, seed| {
+            FaultInjectingBackend::new(Box::new(clean.clone()), mode).with_seed(seed).fingerprint()
+        };
+        assert_ne!(wrap(FaultMode::CorruptCounts, 4), clean.fingerprint());
+        assert_ne!(wrap(FaultMode::CorruptCounts, 4), wrap(FaultMode::CorruptCounts, 5));
+        assert_eq!(wrap(FaultMode::CorruptCounts, 4), wrap(FaultMode::CorruptCounts, 4));
+        assert_eq!(wrap(FaultMode::FailTimes(2), 4), clean.fingerprint(), "pass-through faults");
     }
 
     #[test]

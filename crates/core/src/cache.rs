@@ -18,7 +18,9 @@
 //! the backend's RNG. Opt in via `ExecutorConfig::cache`.
 
 use qukit_aer::counts::Counts;
-use std::collections::HashMap;
+use qukit_obs::rng::splitmix64;
+use qukit_terra::hash::FnvHasher;
+use qukit_terra::lru::Lru;
 use std::sync::{Arc, Mutex};
 
 /// Configuration of the executor's result cache.
@@ -75,24 +77,15 @@ impl CachedDistribution {
         let mut counts = Counts::new(self.num_clbits);
         let mut state = seed;
         for _ in 0..shots {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
-            let outcome = self
-                .cdf
-                .iter()
-                .find(|&&(_, cum)| u < cum)
-                .or(self.cdf.last())
-                .map_or(0, |&(outcome, _)| outcome);
-            counts.record(outcome);
+            let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            // The first outcome whose cumulative probability exceeds `u`;
+            // the last one when rounding leaves the final sum below `u`.
+            let last = self.cdf.len().saturating_sub(1);
+            let index = self.cdf.partition_point(|&(_, cum)| cum <= u).min(last);
+            counts.record(self.cdf.get(index).map_or(0, |&(outcome, _)| outcome));
         }
         counts
     }
-}
-
-struct CacheEntry {
-    distribution: Arc<CachedDistribution>,
-    producer_trace: u64,
-    last_used: u64,
 }
 
 /// A successful cache probe: the distribution to re-sample plus the
@@ -106,15 +99,10 @@ pub struct CacheHit {
     pub producer_trace: u64,
 }
 
-struct CacheState {
-    entries: HashMap<u128, CacheEntry>,
-    tick: u64,
-}
-
 /// The bounded, content-addressed result cache.
 pub struct ResultCache {
     capacity: usize,
-    state: Mutex<CacheState>,
+    entries: Mutex<Lru<u128, CacheHit>>,
 }
 
 impl std::fmt::Debug for ResultCache {
@@ -126,49 +114,33 @@ impl std::fmt::Debug for ResultCache {
 impl ResultCache {
     /// An empty cache with the configured capacity (minimum 1).
     pub fn new(config: CacheConfig) -> Self {
-        Self {
-            capacity: config.capacity.max(1),
-            state: Mutex::new(CacheState { entries: HashMap::new(), tick: 0 }),
-        }
+        let capacity = config.capacity.max(1);
+        Self { capacity, entries: Mutex::new(Lru::new(capacity)) }
     }
 
     /// The content-address of a submission: the emitted circuit text,
     /// the backend name, and the backend's noise/seed fingerprint (see
     /// [`Backend::fingerprint`](crate::backend::Backend::fingerprint)).
-    /// Two 64-bit FNV-1a streams with distinct bases make up the
-    /// 128-bit key, so unrelated submissions colliding is negligible.
+    /// Each is one field of a 128-bit [`FnvHasher`] digest, so unrelated
+    /// submissions colliding is negligible.
     pub fn key(qasm: &str, backend: &str, fingerprint: u64) -> u128 {
-        let mut lo = FNV_OFFSET;
-        let mut hi = FNV_OFFSET ^ 0x5bd1_e995_9d02_9c4f;
-        for chunk in [qasm.as_bytes(), &[0xff], backend.as_bytes(), &fingerprint.to_le_bytes()] {
-            for &byte in chunk {
-                lo = fnv_step(lo, byte);
-                hi = fnv_step(hi, byte.wrapping_add(0x33));
-            }
-        }
-        (u128::from(hi) << 64) | u128::from(lo)
+        let mut hasher = FnvHasher::default();
+        hasher.field(qasm.as_bytes());
+        hasher.field(backend.as_bytes());
+        hasher.u64(fingerprint);
+        hasher.finish128()
     }
 
     /// Looks up a distribution, recording hit/miss metrics and LRU
     /// recency.
     pub fn lookup(&self, key: u128) -> Option<CacheHit> {
-        let mut state = self.state.lock().expect("cache lock");
-        state.tick += 1;
-        let tick = state.tick;
-        match state.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                qukit_obs::counter_inc("qukit_core_cache_hits_total");
-                Some(CacheHit {
-                    distribution: Arc::clone(&entry.distribution),
-                    producer_trace: entry.producer_trace,
-                })
-            }
-            None => {
-                qukit_obs::counter_inc("qukit_core_cache_misses_total");
-                None
-            }
-        }
+        let hit = self.entries.lock().expect("cache lock").get(&key).cloned();
+        qukit_obs::counter_inc(if hit.is_some() {
+            "qukit_core_cache_hits_total"
+        } else {
+            "qukit_core_cache_misses_total"
+        });
+        hit
     }
 
     /// Stores the distribution of a finished run under the trace id of
@@ -176,48 +148,23 @@ impl ResultCache {
     /// when over capacity.
     pub fn insert(&self, key: u128, counts: &Counts, producer_trace: u64) {
         let distribution = Arc::new(CachedDistribution::from_counts(counts));
-        let mut state = self.state.lock().expect("cache lock");
-        state.tick += 1;
-        let tick = state.tick;
-        if !state.entries.contains_key(&key) && state.entries.len() >= self.capacity {
-            if let Some(&victim) =
-                state.entries.iter().min_by_key(|(_, entry)| entry.last_used).map(|(key, _)| key)
-            {
-                state.entries.remove(&victim);
-                qukit_obs::counter_inc("qukit_core_cache_evictions_total");
-            }
+        let mut entries = self.entries.lock().expect("cache lock");
+        if entries.insert(key, CacheHit { distribution, producer_trace }).is_some() {
+            qukit_obs::counter_inc("qukit_core_cache_evictions_total");
         }
-        state.entries.insert(key, CacheEntry { distribution, producer_trace, last_used: tick });
         qukit_obs::counter_inc("qukit_core_cache_insertions_total");
-        qukit_obs::gauge_set("qukit_core_cache_entries", state.entries.len() as f64);
+        qukit_obs::gauge_set("qukit_core_cache_entries", entries.len() as f64);
     }
 
     /// Number of cached distributions.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("cache lock").entries.len()
+        self.entries.lock().expect("cache lock").len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv_step(hash: u64, byte: u8) -> u64 {
-    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// 64-bit FNV-1a, shared with backend fingerprinting.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |hash, &byte| fnv_step(hash, byte))
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -267,30 +214,75 @@ mod tests {
     }
 
     #[test]
-    fn lookup_miss_then_insert_then_hit() {
-        let cache = ResultCache::new(CacheConfig { capacity: 4 });
-        let key = ResultCache::key("qasm", "qasm_simulator", 0);
-        assert!(cache.lookup(key).is_none());
-        cache.insert(key, &bell_counts(), 4242);
-        let hit = cache.lookup(key).expect("cached");
-        assert_eq!(hit.producer_trace, 4242, "hit names the producing trace");
-        assert_eq!(hit.distribution.sample(10, 1).total(), 10);
+    fn sample_counts_are_pinned_for_a_four_outcome_distribution() {
+        let mut counts = Counts::new(2);
+        counts.record_n(0b00, 100);
+        counts.record_n(0b01, 250);
+        counts.record_n(0b10, 50);
+        counts.record_n(0b11, 600);
+        let sampled = CachedDistribution::from_counts(&counts).sample(1000, 2024);
+        let mut pairs: Vec<(u64, usize)> = sampled.iter().collect();
+        pairs.sort_unstable();
+        assert_eq!(pairs, vec![(0b00, 99), (0b01, 243), (0b10, 51), (0b11, 607)]);
     }
 
     #[test]
-    fn eviction_removes_the_least_recently_used_entry() {
+    fn lookup_miss_then_insert_then_hit() {
+        // Recency order itself is covered by the `Lru` suite; this checks
+        // the cache's wiring to it and its metrics.
+        let scope = qukit_obs::Scope::new();
+        let _installed = scope.install();
         let cache = ResultCache::new(CacheConfig { capacity: 2 });
         let (a, b, c) = (
             ResultCache::key("a", "x", 0),
             ResultCache::key("b", "x", 0),
             ResultCache::key("c", "x", 0),
         );
-        cache.insert(a, &bell_counts(), 0);
+        assert!(cache.lookup(a).is_none());
+        cache.insert(a, &bell_counts(), 4242);
+        let hit = cache.lookup(a).expect("cached");
+        assert_eq!(hit.producer_trace, 4242, "hit names the producing trace");
+        assert_eq!(hit.distribution.sample(10, 1).total(), 10);
         cache.insert(b, &bell_counts(), 0);
         assert!(cache.lookup(a).is_some(), "touch a so b is LRU");
         cache.insert(c, &bell_counts(), 0);
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(b).is_none(), "b was evicted");
         assert!(cache.lookup(a).is_some() && cache.lookup(c).is_some());
+        let snapshot = scope.snapshot();
+        let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(counter("qukit_core_cache_hits_total"), 4);
+        assert_eq!(counter("qukit_core_cache_misses_total"), 2);
+        assert_eq!(counter("qukit_core_cache_insertions_total"), 3);
+        assert_eq!(counter("qukit_core_cache_evictions_total"), 1);
+        assert_eq!(snapshot.gauges.get("qukit_core_cache_entries"), Some(&2.0));
+    }
+
+    #[test]
+    fn sampling_matches_a_linear_cdf_scan() {
+        // The binary search picks exactly what a front-to-back scan for
+        // the first cumulative value above `u` picks, falling back to the
+        // last outcome when rounding leaves the final sum below `u`.
+        let linear = |dist: &CachedDistribution, shots: usize, seed: u64| {
+            let mut state = seed;
+            let mut counts = Counts::new(dist.num_clbits);
+            for _ in 0..shots {
+                let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                let (outcome, _) =
+                    dist.cdf.iter().find(|&&(_, cum)| u < cum).or(dist.cdf.last()).unwrap();
+                counts.record(*outcome);
+            }
+            counts
+        };
+        let mut counts = Counts::new(3);
+        for (outcome, n) in [(0b000, 1), (0b011, 3), (0b101, 1), (0b110, 2), (0b111, 3)] {
+            counts.record_n(outcome, n);
+        }
+        let dist = CachedDistribution::from_counts(&counts);
+        assert_eq!(dist.sample(2000, 99), linear(&dist, 2000, 99));
+        let short = CachedDistribution { num_clbits: 1, cdf: vec![(0, 0.25), (1, 0.5)] };
+        let sampled = short.sample(400, 3);
+        assert_eq!(sampled, linear(&short, 400, 3));
+        assert!(sampled.get_value(1) > 200, "u past the final sum lands on the last outcome");
     }
 }

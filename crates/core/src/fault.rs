@@ -11,6 +11,7 @@
 use crate::backend::Backend;
 use crate::error::{QukitError, Result};
 use qukit_aer::counts::Counts;
+use qukit_obs::rng::{splitmix64, GOLDEN_GAMMA};
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::coupling::CouplingMap;
 use std::sync::Mutex;
@@ -86,7 +87,8 @@ impl FaultInjectingBackend {
         // A seeded nonzero mask: flips at least one readout bit of every
         // outcome while preserving the shot total.
         let mask = {
-            let raw = splitmix64(self.seed) & ((1u64 << bits.min(63)) - 1).max(1);
+            let mut state = self.seed;
+            let raw = splitmix64(&mut state) & ((1u64 << bits.min(63)) - 1).max(1);
             if raw == 0 {
                 1
             } else {
@@ -163,11 +165,13 @@ impl Backend for FaultInjectingBackend {
     /// corruption *does* change outcomes, so it salts the hash.
     fn fingerprint(&self) -> u64 {
         match self.mode {
-            FaultMode::CorruptCounts => self
-                .inner
-                .fingerprint()
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(splitmix64(self.seed)),
+            FaultMode::CorruptCounts => {
+                let mut state = self.seed;
+                self.inner
+                    .fingerprint()
+                    .wrapping_mul(GOLDEN_GAMMA)
+                    .wrapping_add(splitmix64(&mut state))
+            }
             _ => self.inner.fingerprint(),
         }
     }
@@ -275,14 +279,6 @@ impl Backend for FallbackChain {
     }
 }
 
-/// One step of the SplitMix64 sequence; drives count corruption.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,6 +342,26 @@ mod tests {
         };
         assert_eq!(outcomes(&a), outcomes(&b), "same seed, same corruption");
         assert_ne!(outcomes(&a), outcomes(&clean), "corruption changed the histogram");
+    }
+
+    #[test]
+    fn corruption_mask_is_pinned() {
+        // Every shot of an empty 3-qubit circuit reads 000, so the
+        // corrupted histogram is the seeded mask itself.
+        let mut zeros = QuantumCircuit::new(3);
+        zeros.measure_all();
+        let masks: Vec<Vec<(u64, usize)>> = [0u64, 4, 99]
+            .into_iter()
+            .map(|seed| {
+                let backend = FaultInjectingBackend::new(
+                    Box::new(QasmSimulatorBackend::new().with_seed(1)),
+                    FaultMode::CorruptCounts,
+                )
+                .with_seed(seed);
+                backend.run(&zeros, 50).unwrap().iter().collect()
+            })
+            .collect();
+        assert_eq!(masks, vec![vec![(0b111, 50)], vec![(0b010, 50)], vec![(0b011, 50)]]);
     }
 
     #[test]

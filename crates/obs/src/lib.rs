@@ -41,6 +41,7 @@ pub mod export;
 pub mod http;
 pub mod json;
 pub mod registry;
+pub mod rng;
 pub mod scope;
 pub mod span;
 pub mod trace;

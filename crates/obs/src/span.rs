@@ -5,8 +5,8 @@
 //!
 //! A [`TraceContext`] names a position in a causal tree: the trace it
 //! belongs to and the span new children should attach under. Contexts are
-//! minted from a process-global SplitMix64 sequence — the same seeded-RNG
-//! discipline the simulators use — so ids are deterministic per process
+//! minted by mixing a process-global counter with [`crate::rng::mix64`] —
+//! the one seeded-RNG helper of the stack — so ids are deterministic per process
 //! run and carry no wall-clock or host state. Propagation is explicit:
 //! [`TraceContext::attach`] installs a context on the current thread and
 //! restores the previous one when the guard drops, and every [`Span`]
@@ -16,6 +16,7 @@
 //! Ids are 53-bit so they survive a JSON number roundtrip exactly.
 
 use crate::registry::{enabled, with_current, DURATION_BUCKETS};
+use crate::rng::mix64;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -96,18 +97,12 @@ const ID_SEED: u64 = 0x71c9_4a2f_8e5d_3b07;
 
 static ID_SEQUENCE: AtomicU64 = AtomicU64::new(0);
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Mints the next process-unique 53-bit id (never 0). 53 bits so an id
 /// survives a JSON `f64` number roundtrip exactly.
 pub fn next_id() -> u64 {
     loop {
         let n = ID_SEQUENCE.fetch_add(1, Ordering::Relaxed);
-        let id = splitmix64(n.wrapping_add(ID_SEED)) >> 11;
+        let id = mix64(n.wrapping_add(ID_SEED)) >> 11;
         if id != 0 {
             return id;
         }
@@ -458,6 +453,12 @@ mod tests {
         assert_ne!(trace[0].span_id, 0);
         crate::reset();
         set_enabled(false);
+    }
+
+    #[test]
+    fn id_sequence_is_pinned() {
+        let ids: Vec<u64> = (0..3).map(|n| mix64(ID_SEED.wrapping_add(n)) >> 11).collect();
+        assert_eq!(ids, vec![4_887_013_969_417_564, 6_181_415_891_578_793, 721_042_498_122_977]);
     }
 
     #[test]

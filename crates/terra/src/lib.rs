@@ -45,8 +45,10 @@ pub mod draw;
 pub mod error;
 pub mod fusion;
 pub mod gate;
+pub mod hash;
 pub mod instruction;
 pub mod layout;
+pub mod lru;
 pub mod matrix;
 pub mod parameter;
 pub mod pulse;

@@ -19,6 +19,7 @@ use crate::circuit::QuantumCircuit;
 use crate::coupling::CouplingMap;
 use crate::error::{Result, TerraError};
 use crate::gate::Gate;
+use crate::hash::FnvHasher;
 use crate::instruction::Instruction;
 use crate::layout::Layout;
 use std::cmp::Reverse;
@@ -78,6 +79,32 @@ pub enum InitialLayout {
         /// Per-qubit readout fidelity; missing entries default to 1.0.
         qubit_fidelity: Vec<f64>,
     },
+}
+
+impl InitialLayout {
+    /// Feeds the strategy and its data into `hasher`, field by field.
+    pub fn hash_fields(&self, hasher: &mut FnvHasher) {
+        match self {
+            Self::Trivial => hasher.field(b"trivial"),
+            Self::Dense => hasher.field(b"dense"),
+            Self::Custom(table) => {
+                hasher.field(b"custom");
+                hasher.u64(table.len() as u64);
+                table.iter().for_each(|&q| hasher.u64(q as u64));
+            }
+            Self::NoiseAware { edge_fidelity, qubit_fidelity } => {
+                hasher.field(b"noise-aware");
+                hasher.u64(edge_fidelity.len() as u64);
+                for &((a, b), fidelity) in edge_fidelity {
+                    hasher.u64(a as u64);
+                    hasher.u64(b as u64);
+                    hasher.f64(fidelity);
+                }
+                hasher.u64(qubit_fidelity.len() as u64);
+                qubit_fidelity.iter().for_each(|&f| hasher.f64(f));
+            }
+        }
+    }
 }
 
 /// Picks an initial layout for `circuit` on `map`.
