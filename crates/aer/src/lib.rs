@@ -42,6 +42,7 @@ pub mod simulator;
 pub mod stabilizer;
 pub mod statevector;
 mod terminal;
+mod trajectory;
 
 pub use counts::Counts;
 pub use density::{DensityMatrix, DensityMatrixSimulator};

@@ -256,37 +256,94 @@ impl QuantumError {
         rng: &mut impl Rng,
     ) {
         assert_eq!(qubits.len(), self.num_qubits, "channel arity mismatch");
-        if self.kraus.len() == 1 {
-            state.apply_matrix(&self.kraus[0], qubits);
-            return;
-        }
-        if let Some(branches) = &self.mixed_unitary {
-            let mut r = rng.gen::<f64>();
-            let mut chosen = branches.len() - 1;
-            for (i, (p, _)) in branches.iter().enumerate() {
-                if r < *p {
-                    chosen = i;
-                    break;
-                }
-                r -= p;
+        let channel = self.channel();
+        let branch = match &channel {
+            Channel::Fixed(_) => 0,
+            _ => {
+                let uniform = rng.gen::<f64>();
+                let mut probabilities = Vec::new();
+                channel.probabilities(state, qubits, &mut probabilities);
+                Channel::choose(uniform, &probabilities)
             }
-            state.apply_matrix(&branches[chosen].1, qubits);
-            return;
+        };
+        channel.apply_branch(state, qubits, branch);
+    }
+
+    /// The channel resolved for trajectory sampling.
+    pub(crate) fn channel(&self) -> Channel<'_> {
+        if self.kraus.len() == 1 {
+            Channel::Fixed(&self.kraus[0])
+        } else if let Some(branches) = &self.mixed_unitary {
+            Channel::Mixed(branches)
+        } else {
+            let effects = self.kraus.iter().map(|k| k.dagger().matmul(k)).collect();
+            Channel::Kraus { kraus: &self.kraus, effects }
         }
-        // General channel: p_i = <psi| K_i† K_i |psi> computed locally.
-        let mut r = rng.gen::<f64>();
-        let mut chosen = self.kraus.len() - 1;
-        for (i, k) in self.kraus.iter().enumerate() {
-            let mu = k.dagger().matmul(k);
-            let p = state.local_expectation(&mu, qubits);
+    }
+}
+
+/// A [`QuantumError`] resolved once for trajectory sampling. Every kind
+/// but [`Channel::Fixed`] consumes one uniform per application.
+pub(crate) enum Channel<'a> {
+    /// A single Kraus operator, applied as is: no draw.
+    Fixed(&'a Matrix),
+    /// Scaled unitaries as `(probability, unitary)`: the branch depends on
+    /// the uniform alone.
+    Mixed(&'a [(f64, Matrix)]),
+    /// General Kraus operators with their effects `K_i†K_i`: branch `i`
+    /// has probability `⟨ψ|K_i†K_i|ψ⟩`, and the chosen branch is
+    /// renormalized.
+    Kraus { kraus: &'a [Matrix], effects: Vec<Matrix> },
+}
+
+impl Channel<'_> {
+    /// Writes the branch probabilities on `state` into `out`: the mixture
+    /// weights, or each Kraus effect's local expectation. Empty for a
+    /// fixed channel.
+    pub(crate) fn probabilities(
+        &self,
+        state: &crate::statevector::Statevector,
+        qubits: &[usize],
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        match self {
+            Channel::Fixed(_) => {}
+            Channel::Mixed(branches) => out.extend(branches.iter().map(|&(p, _)| p)),
+            Channel::Kraus { effects, .. } => {
+                out.extend(effects.iter().map(|mu| state.local_expectation(mu, qubits)));
+            }
+        }
+    }
+
+    /// The branch a `uniform` selects: the first `i` with
+    /// `u - p_0 - … - p_{i-1} < p_i`, else the last.
+    pub(crate) fn choose(uniform: f64, probabilities: &[f64]) -> usize {
+        let mut r = uniform;
+        for (i, &p) in probabilities.iter().enumerate() {
             if r < p {
-                chosen = i;
-                break;
+                return i;
             }
             r -= p;
         }
-        state.apply_matrix(&self.kraus[chosen], qubits);
-        state.renormalize();
+        probabilities.len().saturating_sub(1)
+    }
+
+    /// Applies branch `branch` to `state`.
+    pub(crate) fn apply_branch(
+        &self,
+        state: &mut crate::statevector::Statevector,
+        qubits: &[usize],
+        branch: usize,
+    ) {
+        match self {
+            Channel::Fixed(matrix) => state.apply_matrix(matrix, qubits),
+            Channel::Mixed(branches) => state.apply_matrix(&branches[branch].1, qubits),
+            Channel::Kraus { kraus, .. } => {
+                state.apply_matrix(&kraus[branch], qubits);
+                state.renormalize();
+            }
+        }
     }
 }
 
@@ -334,12 +391,13 @@ impl ReadoutError {
 
     /// Applies the error to a measured bit.
     pub fn apply(&self, measured: bool, rng: &mut impl Rng) -> bool {
+        self.record(measured, rng.gen())
+    }
+
+    /// The bit recorded for `measured` when the readout draws `uniform`.
+    pub(crate) fn record(&self, measured: bool, uniform: f64) -> bool {
         let flip_prob = if measured { self.prob_0_given_1 } else { self.prob_1_given_0 };
-        if rng.gen::<f64>() < flip_prob {
-            !measured
-        } else {
-            measured
-        }
+        measured != (uniform < flip_prob)
     }
 
     /// The 2x2 column-stochastic assignment matrix
@@ -369,7 +427,9 @@ impl ReadoutError {
 #[derive(Debug, Clone, Default)]
 pub struct NoiseModel {
     gate_errors: HashMap<String, QuantumError>,
-    local_errors: HashMap<(String, Vec<usize>), QuantumError>,
+    /// Keyed by gate name, then by qubit tuple, so a lookup borrows its
+    /// key instead of building one.
+    local_errors: HashMap<String, HashMap<Vec<usize>, QuantumError>>,
     readout: Option<ReadoutError>,
 }
 
@@ -415,7 +475,7 @@ impl NoiseModel {
         qubits: Vec<usize>,
         error: QuantumError,
     ) {
-        self.local_errors.insert((name.into(), qubits), error);
+        self.local_errors.entry(name.into()).or_default().insert(qubits, error);
     }
 
     /// Sets the readout error applied to every measurement.
@@ -431,7 +491,8 @@ impl NoiseModel {
     /// Looks up the error channel for a gate application.
     pub fn error_for(&self, name: &str, qubits: &[usize]) -> Option<&QuantumError> {
         self.local_errors
-            .get(&(name.to_owned(), qubits.to_vec()))
+            .get(name)
+            .and_then(|by_qubits| by_qubits.get(qubits))
             .or_else(|| self.gate_errors.get(name))
     }
 
@@ -451,10 +512,10 @@ impl NoiseModel {
             hasher.field(name.as_bytes());
             error.hash_fields(hasher);
         }
-        let mut local_errors: Vec<_> = self.local_errors.iter().collect();
-        local_errors.sort_unstable_by_key(|&(key, _)| key);
+        let mut local_errors: Vec<_> = self.local_entries().collect();
+        local_errors.sort_unstable_by_key(|&(name, qubits, _)| (name, qubits));
         hasher.u64(local_errors.len() as u64);
-        for ((name, qubits), error) in local_errors {
+        for (name, qubits, error) in local_errors {
             hasher.field(name.as_bytes());
             hasher.u64(qubits.len() as u64);
             qubits.iter().for_each(|&q| hasher.u64(q as u64));
@@ -475,13 +536,20 @@ impl NoiseModel {
             local_errors: HashMap::new(),
             readout: self.readout,
         };
-        for ((name, qubits), error) in &self.local_errors {
+        for (name, qubits, error) in self.local_entries() {
             let remapped: Option<Vec<usize>> = qubits.iter().map(|&q| mapping(q)).collect();
             if let Some(remapped) = remapped {
-                out.local_errors.insert((name.clone(), remapped), error.clone());
+                out.add_local_error(name, remapped, error.clone());
             }
         }
         out
+    }
+
+    /// Every local error as `(gate name, qubits, error)`.
+    fn local_entries(&self) -> impl Iterator<Item = (&str, &[usize], &QuantumError)> {
+        self.local_errors.iter().flat_map(|(name, by_qubits)| {
+            by_qubits.iter().map(move |(qubits, error)| (name.as_str(), qubits.as_slice(), error))
+        })
     }
 }
 

@@ -1234,7 +1234,7 @@ pub(crate) fn evolve_unitary(
     amps[0] = Complex::ONE;
     let mut tally = GateTally::default();
     evolve_fused(&mut amps, &gates, config, &mut tally)?;
-    tally.flush("qukit_aer_statevector_gates_total");
+    tally.flush(crate::simulator::STATEVECTOR_GATES);
     let mut state = Statevector::from_amplitudes(amps);
     state.apply_global_phase(circuit.global_phase());
     Ok(state)

@@ -14,6 +14,7 @@ use crate::noise::NoiseModel;
 use crate::parallel::{self, ParallelConfig};
 use crate::statevector::Statevector;
 use crate::terminal::{self, PerShotReason};
+use crate::trajectory::{Plan, TreeStats};
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::complex::Complex;
 use qukit_terra::instruction::{Instruction, Operation};
@@ -23,12 +24,17 @@ use rand::{Rng, SeedableRng};
 
 const MAX_QUBITS: usize = 30;
 
+/// Counter of statevector gate applications actually performed: once per
+/// gate on the evolve-once path, and once per gate per shot-tree group on
+/// the trajectory path, so shots that share a group share its count.
+pub(crate) const STATEVECTOR_GATES: &str = "qukit_aer_statevector_gates_total";
+
 /// Local accumulator for apply-gate counts, flushed to the global
 /// [`qukit_obs`] registry once per run so the per-gate hot path stays free
 /// of locks and atomics.
 #[derive(Debug, Default)]
 pub(crate) struct GateTally {
-    gates: u64,
+    pub(crate) gates: u64,
     amplitudes: u64,
 }
 
@@ -127,8 +133,11 @@ impl QasmSimulator {
     /// `terminal::per_shot_reason`) is evolved once through the fused
     /// kernels and its terminal distribution sampled `shots` times: one
     /// probability CDF, then one binary search per shot. Anything else
-    /// runs one trajectory per shot. The `aer.qasm_run` span records which
-    /// path ran and, for trajectories, why.
+    /// runs on the shot tree (`trajectory`): shots that make the same
+    /// random decisions share one evolution, with the counts a
+    /// shot-by-shot replay gives. The `aer.qasm_run` span records which
+    /// path ran and, for trajectories, why and how many distinct
+    /// trajectories (`trajectories=<leaves>`) were evolved.
     ///
     /// # Errors
     ///
@@ -141,25 +150,24 @@ impl QasmSimulator {
             None => StdRng::from_entropy(),
         };
         let reason = self.per_shot_reason(circuit);
-        let _span = terminal::run_span("aer.qasm_run", circuit.num_qubits(), shots, reason);
+        let mut span = terminal::run_span("aer.qasm_run", circuit.num_qubits(), shots, reason);
         qukit_obs::counter_inc("qukit_aer_qasm_runs_total");
         qukit_obs::counter_add("qukit_aer_shots_total", shots as u64);
         if reason.is_none() {
             let base_seed = self.seed.unwrap_or_else(|| rng.gen());
-            self.run_sampled(circuit, shots, base_seed, &mut Vec::new())
-        } else if self.parallel.threads > 1 && shots > 1 {
-            let base_seed = self.seed.unwrap_or_else(|| rng.gen());
-            Ok(self.run_trajectories_batched(circuit, shots, base_seed))
-        } else {
-            let mut tally = GateTally::default();
-            let mut counts = Counts::new(circuit.num_clbits());
-            let mut state = Statevector::new(circuit.num_qubits());
-            for _ in 0..shots {
-                counts.record(self.run_trajectory(circuit, &mut state, &mut rng, &mut tally));
-            }
-            tally.flush("qukit_aer_statevector_gates_total");
-            Ok(counts)
+            return self.run_sampled(circuit, shots, base_seed, &mut Vec::new());
         }
+        let plan = Plan::new(circuit, self.noise.as_ref());
+        let mut tally = GateTally::default();
+        let (counts, stats) = if self.parallel.threads > 1 && shots > 1 {
+            let base_seed = self.seed.unwrap_or_else(|| rng.gen());
+            self.run_trajectories_batched(&plan, shots, base_seed, &mut tally)
+        } else {
+            plan.run(shots, &mut rng, &mut tally)
+        };
+        tally.flush(STATEVECTOR_GATES);
+        span.append_detail(format_args!("trajectories={}", stats.leaves));
+        Ok(counts)
     }
 
     /// Executes a batch of circuits — typically the bindings of one
@@ -230,7 +238,7 @@ impl QasmSimulator {
         amps[0] = Complex::ONE;
         let mut tally = GateTally::default();
         parallel::evolve_fused(amps, &gates, &self.parallel, &mut tally)?;
-        tally.flush("qukit_aer_statevector_gates_total");
+        tally.flush(STATEVECTOR_GATES);
         let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "cdf")
             .with_metric("qukit_aer_sample_seconds");
         let cdf = parallel::probability_cdf(amps);
@@ -250,30 +258,27 @@ impl QasmSimulator {
 
     /// Shot-parallel trajectories: shots are split into fixed-size batches
     /// with per-batch seeded RNG streams (thread-count-invariant for a
-    /// fixed seed); workers claim batches in a fixed stride, and each
-    /// batch reuses one amplitude buffer for all its shots.
+    /// fixed seed), each run through the shot tree; workers claim batches
+    /// in a fixed stride.
     fn run_trajectories_batched(
         &self,
-        circuit: &QuantumCircuit,
+        plan: &Plan<'_>,
         shots: usize,
         base_seed: u64,
-    ) -> Counts {
+        tally: &mut GateTally,
+    ) -> (Counts, TreeStats) {
         let batch_size = parallel::TRAJECTORY_BATCH;
         let batches = shots.div_ceil(batch_size);
         let threads = self.parallel.threads.clamp(1, parallel::MAX_THREADS).min(batches);
-        let run_batch = |batch: usize| -> (Counts, GateTally) {
+        let run_batch = |batch: usize| -> (Counts, TreeStats, GateTally) {
             let lo = batch * batch_size;
             let hi = ((batch + 1) * batch_size).min(shots);
             let mut rng = StdRng::seed_from_u64(parallel::batch_seed(base_seed, batch as u64));
-            let mut counts = Counts::new(circuit.num_clbits());
             let mut tally = GateTally::default();
-            let mut state = Statevector::new(circuit.num_qubits());
-            for _ in lo..hi {
-                counts.record(self.run_trajectory(circuit, &mut state, &mut rng, &mut tally));
-            }
-            (counts, tally)
+            let (counts, stats) = plan.run(hi - lo, &mut rng, &mut tally);
+            (counts, stats, tally)
         };
-        let results: Vec<(Counts, GateTally)> = if threads <= 1 {
+        let results: Vec<(Counts, TreeStats, GateTally)> = if threads <= 1 {
             (0..batches).map(run_batch).collect()
         } else {
             std::thread::scope(|scope| {
@@ -297,73 +302,16 @@ impl QasmSimulator {
                     .collect()
             })
         };
-        let mut counts = Counts::new(circuit.num_clbits());
-        let mut tally = GateTally::default();
-        for (batch_counts, batch_tally) in results {
+        let mut counts = Counts::new(plan.num_clbits());
+        let mut stats = TreeStats::default();
+        for (batch_counts, batch_stats, batch_tally) in results {
             for (outcome, n) in batch_counts.iter() {
                 counts.record_n(outcome, n);
             }
+            stats.merge(batch_stats);
             tally.record_n(batch_tally.gates, batch_tally.amplitudes);
         }
-        tally.flush("qukit_aer_statevector_gates_total");
-        counts
-    }
-
-    /// Full trajectory: one shot with mid-circuit measurement, reset,
-    /// conditionals and stochastic noise. `state` is the caller's
-    /// amplitude buffer, reset to `|0…0⟩` here so shots share one
-    /// allocation.
-    fn run_trajectory(
-        &self,
-        circuit: &QuantumCircuit,
-        state: &mut Statevector,
-        rng: &mut StdRng,
-        tally: &mut GateTally,
-    ) -> u64 {
-        state.reset_to_zero();
-        let dim = 1u64 << circuit.num_qubits();
-        let mut creg = 0u64;
-        let readout = self.noise.as_ref().and_then(|n| n.readout_error());
-        for inst in circuit.instructions() {
-            if let Some(cond) = &inst.condition {
-                let mut value = 0u64;
-                for (i, &c) in cond.clbits.iter().enumerate() {
-                    if (creg >> c) & 1 == 1 {
-                        value |= 1 << i;
-                    }
-                }
-                if value != cond.value {
-                    continue;
-                }
-            }
-            match &inst.op {
-                Operation::Gate(g) => {
-                    state.apply_gate(*g, &inst.qubits);
-                    tally.record(dim);
-                    if let Some(noise) = &self.noise {
-                        if let Some(error) = noise.error_for(g.name(), &inst.qubits) {
-                            if error.num_qubits() == inst.qubits.len() {
-                                error.apply_stochastic(state, &inst.qubits, rng);
-                            }
-                        }
-                    }
-                }
-                Operation::Measure => {
-                    let mut bit = state.measure(inst.qubits[0], rng);
-                    if let Some(readout) = readout {
-                        bit = readout.apply(bit, rng);
-                    }
-                    if bit {
-                        creg |= 1 << inst.clbits[0];
-                    } else {
-                        creg &= !(1 << inst.clbits[0]);
-                    }
-                }
-                Operation::Reset => state.reset(inst.qubits[0], rng),
-                Operation::Barrier => {}
-            }
-        }
-        creg
+        (counts, stats)
     }
 }
 

@@ -206,7 +206,7 @@ impl Statevector {
     ///
     /// Panics (in debug builds) when the requested outcome has ~zero
     /// probability.
-    fn collapse(&mut self, q: usize, outcome: bool, prob: f64) {
+    pub(crate) fn collapse(&mut self, q: usize, outcome: bool, prob: f64) {
         debug_assert!(prob > 1e-15, "collapsing onto a zero-probability branch");
         let mask = 1usize << q;
         let scale = 1.0 / prob.sqrt();

@@ -1,7 +1,7 @@
 //! The evolve-once decision shared by the dense and tableau engines: a
 //! noiseless circuit whose measurements can all be deferred to the end is
-//! evolved once and sampled `shots` times, anything else runs one
-//! trajectory per shot, and the run span records which and why.
+//! evolved once and sampled `shots` times, anything else runs per-shot
+//! trajectories, and the run span records which and why.
 
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::instruction::Operation;

@@ -1,12 +1,14 @@
 //! Every shot-based run records which path it took and why: the
 //! `aer.qasm_run` and `aer.stabilizer_run` spans carry `mode=sampled`, or
 //! `mode=trajectory` with a `reason` naming the first instruction that
-//! forced per-shot execution.
+//! forced per-shot execution. A dense trajectory run also records
+//! `trajectories=<n>`, the shot-tree leaves it evolved.
 //!
 //! A single `#[test]` in its own binary: it toggles the process-global
 //! recorder, which would race any test sharing the process.
 
 use qukit_aer::noise::NoiseModel;
+use qukit_aer::parallel::ParallelConfig;
 use qukit_aer::simulator::QasmSimulator;
 use qukit_aer::stabilizer::StabilizerSimulator;
 use qukit_terra::circuit::QuantumCircuit;
@@ -52,11 +54,45 @@ fn check(circuit: &QuantumCircuit, noise: Option<NoiseModel>, expected: &str) {
             run();
         }
         let detail = detail_of(span, context);
+        // Dense trajectory runs also record how many shot-tree leaves
+        // they evolved, after the decision.
+        let decision = match detail.rsplit_once(" trajectories=") {
+            Some((decision, leaves)) => {
+                assert!(span == "aer.qasm_run" && expected.starts_with("mode=trajectory"));
+                let leaves: u64 = leaves.parse().expect("leaf count");
+                assert!((1..=8).contains(&leaves), "{span}: {leaves} leaves for 8 shots");
+                decision
+            }
+            None => {
+                assert!(
+                    span != "aer.qasm_run" || expected == "mode=sampled",
+                    "{span}: trajectory run without a leaf count: '{detail}'"
+                );
+                detail.as_str()
+            }
+        };
         assert!(
-            detail.ends_with(expected),
-            "{span}: expected '{expected}' at the end of '{detail}'"
+            decision.ends_with(expected),
+            "{span}: expected '{expected}' at the end of '{decision}'"
         );
     }
+}
+
+/// The leaf count a seeded single-threaded dense run records on its
+/// `aer.qasm_run` span (shot-parallel runs walk one tree per batch).
+fn leaves_of(circuit: &QuantumCircuit, noise: Option<NoiseModel>, shots: usize) -> u64 {
+    let context = qukit_obs::TraceContext::mint();
+    {
+        let _guard = context.attach();
+        let mut sim = QasmSimulator::new().with_seed(3).with_parallel(ParallelConfig::serial());
+        if let Some(noise) = noise {
+            sim = sim.with_noise(noise);
+        }
+        sim.run(circuit, shots).expect("dense run");
+    }
+    let detail = detail_of("aer.qasm_run", context);
+    let (_, leaves) = detail.rsplit_once(" trajectories=").expect("trajectory run");
+    leaves.parse().expect("leaf count")
 }
 
 #[test]
@@ -111,6 +147,32 @@ fn run_spans_record_the_sampled_or_trajectory_decision_and_its_reason() {
         Some(NoiseModel::depolarizing(0.01, 0.02, 0.0)),
         "mode=trajectory reason=noise",
     );
+
+    // Shots share a trajectory until their decisions differ. Two coin
+    // flips on one qubit, the second after a gate on the measured qubit,
+    // give four leaves for 64 shots; a reset of |0⟩ never branches, so
+    // every shot shares one evolution.
+    let mut coins = QuantumCircuit::with_size(1, 2);
+    coins.h(0).unwrap();
+    coins.measure(0, 0).unwrap();
+    coins.h(0).unwrap();
+    coins.measure(0, 1).unwrap();
+    assert_eq!(leaves_of(&coins, None, 64), 4);
+    let mut idle_reset = QuantumCircuit::with_size(2, 2);
+    idle_reset.h(0).unwrap();
+    idle_reset.reset(1).unwrap();
+    idle_reset.cx(0, 1).unwrap();
+    assert_eq!(leaves_of(&idle_reset, None, 64), 1);
+    // A certain bit flip after each of three gates still takes one path;
+    // depolarizing noise splits shots into more than one.
+    let mut flips = QuantumCircuit::with_size(1, 1);
+    for _ in 0..3 {
+        flips.x(0).unwrap();
+    }
+    let mut always = NoiseModel::new();
+    always.add_all_qubit_error("x", qukit_aer::noise::QuantumError::bit_flip(1.0));
+    assert_eq!(leaves_of(&flips, Some(always), 64), 1);
+    assert!(leaves_of(&flips, Some(NoiseModel::depolarizing(0.3, 0.0, 0.0)), 64) > 1);
 
     // An ideal noise model keeps the evolve-once path.
     check(&terminal, Some(NoiseModel::new()), "mode=sampled");

@@ -675,10 +675,29 @@ fn fmt_f64(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The reduced sweep the presence and schema tests share: every entry
+    /// kind, at 16 shots, two repeats, threads 1 and 2 and 8 bindings.
+    fn reduced() -> BaselineConfig {
+        BaselineConfig {
+            shots: 16,
+            repeats: 2,
+            threads: vec![1, 2],
+            sweep_bindings: 8,
+            ..Default::default()
+        }
+    }
+
+    /// One run of [`reduced`], shared by every test that reads it.
+    fn shared_baseline() -> &'static Baseline {
+        static BASELINE: OnceLock<Baseline> = OnceLock::new();
+        BASELINE.get_or_init(|| run_baseline(&reduced()))
+    }
 
     #[test]
     fn baseline_covers_at_least_eight_circuit_engine_pairs() {
-        let baseline = run_baseline(&BaselineConfig { shots: 64, ..Default::default() });
+        let baseline = shared_baseline();
         assert!(baseline.entries.len() >= 8, "only {} entries", baseline.entries.len());
         let mut pairs: Vec<(String, String)> =
             baseline.entries.iter().map(|e| (e.circuit.clone(), e.engine.clone())).collect();
@@ -691,7 +710,7 @@ mod tests {
 
     #[test]
     fn baseline_entries_embed_engine_metrics() {
-        let baseline = run_baseline(&BaselineConfig { shots: 32, ..Default::default() });
+        let baseline = shared_baseline();
         let dd =
             baseline.entries.iter().find(|e| e.engine == "dd_simulator").expect("dd entries exist");
         assert!(
@@ -709,7 +728,7 @@ mod tests {
 
     #[test]
     fn baseline_covers_routing_and_cache_entries() {
-        let baseline = run_baseline(&BaselineConfig { shots: 16, ..Default::default() });
+        let baseline = shared_baseline();
         for circuit in ["qft_12", "random_12x200"] {
             for engine in ["transpile[sabre]", "transpile[astar]"] {
                 let entry = baseline
@@ -745,10 +764,10 @@ mod tests {
 
     #[test]
     fn baseline_json_round_trips() {
-        let baseline = run_baseline(&BaselineConfig { shots: 16, ..Default::default() });
+        let baseline = shared_baseline();
         let json = baseline.to_json();
         let parsed = Baseline::from_json(&json).expect("own output validates");
-        assert_eq!(parsed, baseline);
+        assert_eq!(&parsed, baseline);
     }
 
     #[test]
@@ -825,9 +844,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_wide_circuits_at_every_thread_count() {
-        let config =
-            BaselineConfig { shots: 16, repeats: 1, threads: vec![1, 2], ..Default::default() };
-        let baseline = run_baseline(&config);
+        let baseline = shared_baseline();
         for circuit in ["qft_12", "random_12x200"] {
             for engine in
                 ["qasm_simulator", "parallel_statevector[t=1]", "parallel_statevector[t=2]"]
@@ -896,8 +913,7 @@ mod tests {
 
     #[test]
     fn metrics_can_be_disabled_for_overhead_runs() {
-        let config = BaselineConfig { shots: 16, collect_metrics: false, ..Default::default() };
-        let baseline = run_baseline(&config);
+        let baseline = run_baseline(&BaselineConfig { collect_metrics: false, ..reduced() });
         assert!(baseline.entries.iter().all(|e| e.metrics.is_empty()));
     }
 }

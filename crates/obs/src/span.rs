@@ -18,6 +18,7 @@
 use crate::registry::{enabled, with_current, DURATION_BUCKETS};
 use crate::rng::mix64;
 use std::cell::Cell;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -245,6 +246,14 @@ impl Span {
             inner.metric = Some(histogram.to_owned());
         }
         self
+    }
+
+    /// Appends ` field` to the span's detail, for a decision known only
+    /// once the work is done (no-op, and no formatting, for inert spans).
+    pub fn append_detail(&mut self, field: fmt::Arguments<'_>) {
+        if let Some(inner) = self.inner.as_mut() {
+            let _ = write!(inner.detail, " {field}");
+        }
     }
 
     /// This span's id (0 for inert spans) — use it to parent manual

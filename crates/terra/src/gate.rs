@@ -156,12 +156,18 @@ impl Gate {
 
     /// The gate's angle parameters, in declaration order.
     pub fn params(&self) -> Vec<f64> {
+        let (slots, len) = self.param_slots();
+        slots[..len].to_vec()
+    }
+
+    /// The angle parameters without allocating: the first `len` slots.
+    pub(crate) fn param_slots(&self) -> ([f64; 3], usize) {
         use Gate::*;
         match *self {
             Rx(t) | Ry(t) | Rz(t) | Phase(t) | Crx(t) | Cry(t) | Crz(t) | Cp(t) | Rxx(t)
-            | Rzz(t) => vec![t],
-            U(t, p, l) | Cu(t, p, l) => vec![t, p, l],
-            _ => vec![],
+            | Rzz(t) => ([t, 0.0, 0.0], 1),
+            U(t, p, l) | Cu(t, p, l) => ([t, p, l], 3),
+            _ => ([0.0; 3], 0),
         }
     }
 

@@ -1,8 +1,6 @@
 //! FNV-1a, the one content hash of the stack: both caches' keys, backend
 //! fingerprints and conformance reproducer slugs.
 
-use std::fmt;
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One FNV-1a step: xor the byte in, multiply by the 64-bit FNV prime.
@@ -72,19 +70,9 @@ impl FnvHasher {
     }
 }
 
-/// Streams formatted text into the current field without allocating:
-/// `write!(hasher, "{value:?}")`, then `hasher.field(&[])` to end it.
-impl fmt::Write for FnvHasher {
-    fn write_str(&mut self, text: &str) -> fmt::Result {
-        self.write(text.as_bytes());
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fmt::Write as _;
 
     #[test]
     fn fnv1a64_matches_the_reference_vectors() {
@@ -116,14 +104,5 @@ mod tests {
         assert_ne!(digest(&|h| h.f64(0.0)), digest(&|h| h.f64(-0.0)));
         assert_eq!(digest(&|h| h.f64(0.5)), digest(&|h| h.u64(0.5f64.to_bits())));
         assert_ne!(digest(&|h| h.u64(1)) >> 64, digest(&|h| h.u64(1)) & u128::from(u64::MAX));
-    }
-
-    #[test]
-    fn formatted_text_streams_like_its_bytes() {
-        let mut streamed = FnvHasher::default();
-        write!(streamed, "{:?}|{}", Some(3), 4.5).unwrap();
-        let mut direct = FnvHasher::default();
-        direct.write(b"Some(3)|4.5");
-        assert_eq!(streamed.finish128(), direct.finish128());
     }
 }

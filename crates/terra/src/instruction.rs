@@ -1,6 +1,7 @@
 //! Circuit instructions: gates, measurements, resets, barriers.
 
 use crate::gate::Gate;
+use crate::hash::FnvHasher;
 use std::fmt;
 
 /// The operation performed by an [`Instruction`].
@@ -99,6 +100,30 @@ impl Instruction {
     /// Returns `true` when the instruction touches qubit `q`.
     pub fn acts_on(&self, q: usize) -> bool {
         self.qubits.contains(&q)
+    }
+
+    /// Feeds the instruction into `hasher` as data: the op name (which
+    /// fixes the parameter count), the parameters' bit patterns, the
+    /// qubits, the clbits and the condition.
+    pub(crate) fn hash_fields(&self, hasher: &mut FnvHasher) {
+        hasher.field(self.op.name().as_bytes());
+        if let Operation::Gate(gate) = &self.op {
+            let (slots, len) = gate.param_slots();
+            slots[..len].iter().for_each(|&p| hasher.f64(p));
+        }
+        for operands in [&self.qubits, &self.clbits] {
+            hasher.u64(operands.len() as u64);
+            operands.iter().for_each(|&i| hasher.u64(i as u64));
+        }
+        match &self.condition {
+            None => hasher.field(&[0]),
+            Some(condition) => {
+                hasher.field(&[1]);
+                hasher.u64(condition.clbits.len() as u64);
+                condition.clbits.iter().for_each(|&c| hasher.u64(c as u64));
+                hasher.u64(condition.value);
+            }
+        }
     }
 }
 

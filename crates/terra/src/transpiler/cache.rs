@@ -20,7 +20,6 @@ use crate::circuit::QuantumCircuit;
 use crate::error::Result;
 use crate::hash::FnvHasher;
 use crate::lru::Lru;
-use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 /// Counters describing cache behaviour, as observed by tests and the
@@ -71,10 +70,9 @@ impl TranspileCache {
         hasher.u64(circuit.num_qubits() as u64);
         hasher.u64(circuit.num_clbits() as u64);
         hasher.f64(circuit.global_phase());
+        hasher.u64(circuit.size() as u64);
         for inst in circuit.instructions() {
-            // Streamed into the hasher: no string is built per instruction.
-            write!(hasher, "{inst:?}").expect("hashing cannot fail");
-            hasher.field(&[]);
+            inst.hash_fields(&mut hasher);
         }
 
         match &options.coupling_map {
@@ -197,6 +195,43 @@ mod tests {
         let mut other_circ = circ.clone();
         other_circ.h(0).unwrap();
         assert_ne!(base, TranspileCache::key(&other_circ, &base_opts));
+    }
+
+    #[test]
+    fn keys_hash_instructions_as_data() {
+        let build = |theta: f64| {
+            let mut circ = QuantumCircuit::with_size(3, 2);
+            circ.h(0).unwrap();
+            circ.rz(theta, 1).unwrap();
+            circ.u(0.1, theta, -0.3, 2).unwrap();
+            circ.cx(0, 2).unwrap();
+            circ.measure(2, 1).unwrap();
+            circ.append_conditional(crate::gate::Gate::X, &[1], "c", 2).unwrap();
+            circ
+        };
+        let opts = TranspileOptions::for_device(CouplingMap::ibm_qx4());
+        let theta = 0.7;
+        let key = TranspileCache::key(&build(theta), &opts);
+        assert_eq!(key, TranspileCache::key(&build(theta), &opts), "equal circuits, equal keys");
+        let next_ulp = f64::from_bits(theta.to_bits() + 1);
+        assert_ne!(key, TranspileCache::key(&build(next_ulp), &opts), "one ulp apart");
+
+        let mut other_condition = build(theta);
+        other_condition.append_conditional(crate::gate::Gate::X, &[1], "c", 1).unwrap();
+        let mut same_prefix = build(theta);
+        same_prefix.append_conditional(crate::gate::Gate::X, &[1], "c", 2).unwrap();
+        assert_ne!(
+            TranspileCache::key(&other_condition, &opts),
+            TranspileCache::key(&same_prefix, &opts),
+            "the condition value is keyed"
+        );
+        let mut other_clbit = QuantumCircuit::with_size(3, 2);
+        other_clbit.h(0).unwrap();
+        other_clbit.measure(0, 0).unwrap();
+        let mut clbit = QuantumCircuit::with_size(3, 2);
+        clbit.h(0).unwrap();
+        clbit.measure(0, 1).unwrap();
+        assert_ne!(TranspileCache::key(&other_clbit, &opts), TranspileCache::key(&clbit, &opts));
     }
 
     #[test]
