@@ -13,11 +13,13 @@
 //! operator `Σ_i K_i ρ K_i†` in expectation. The density-matrix simulator
 //! in [`crate::density`] applies the same channels exactly.
 
+use crate::parallel::Kernel;
 use qukit_terra::complex::{c64, Complex};
 use qukit_terra::hash::FnvHasher;
 use qukit_terra::matrix::Matrix;
 use rand::Rng;
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// A CPTP error channel given by its Kraus operators.
 ///
@@ -256,7 +258,7 @@ impl QuantumError {
         rng: &mut impl Rng,
     ) {
         assert_eq!(qubits.len(), self.num_qubits, "channel arity mismatch");
-        let channel = self.channel();
+        let channel = self.channel(qubits);
         let branch = match &channel {
             Channel::Fixed(_) => 0,
             _ => {
@@ -269,37 +271,58 @@ impl QuantumError {
         channel.apply_branch(state, qubits, branch);
     }
 
-    /// The channel resolved for trajectory sampling.
-    pub(crate) fn channel(&self) -> Channel<'_> {
+    /// The channel resolved for trajectory sampling on `qubits`.
+    pub(crate) fn channel(&self, qubits: &[usize]) -> Channel<'_> {
         if self.kraus.len() == 1 {
-            Channel::Fixed(&self.kraus[0])
+            Channel::Fixed(Kernel::exact(&self.kraus[0], qubits))
         } else if let Some(branches) = &self.mixed_unitary {
-            Channel::Mixed(branches)
+            Channel::Mixed(branches.iter().map(|(p, unitary)| (*p, Branch::new(unitary))).collect())
         } else {
-            let effects = self.kraus.iter().map(|k| k.dagger().matmul(k)).collect();
-            Channel::Kraus { kraus: &self.kraus, effects }
+            Channel::Kraus {
+                kraus: self.kraus.iter().map(Branch::new).collect(),
+                effects: self.kraus.iter().map(|k| k.dagger().matmul(k)).collect(),
+            }
         }
     }
 }
 
-/// A [`QuantumError`] resolved once for trajectory sampling. Every kind
-/// but [`Channel::Fixed`] consumes one uniform per application.
+/// A [`QuantumError`] resolved once for trajectory sampling on fixed
+/// qubits. Every kind but [`Channel::Fixed`] consumes one uniform per
+/// application.
 pub(crate) enum Channel<'a> {
     /// A single Kraus operator, applied as is: no draw.
-    Fixed(&'a Matrix),
+    Fixed(Kernel),
     /// Scaled unitaries as `(probability, unitary)`: the branch depends on
     /// the uniform alone.
-    Mixed(&'a [(f64, Matrix)]),
+    Mixed(Vec<(f64, Branch<'a>)>),
     /// General Kraus operators with their effects `K_i†K_i`: branch `i`
     /// has probability `⟨ψ|K_i†K_i|ψ⟩`, and the chosen branch is
     /// renormalized.
-    Kraus { kraus: &'a [Matrix], effects: Vec<Matrix> },
+    Kraus { kraus: Vec<Branch<'a>>, effects: Vec<Matrix> },
+}
+
+/// One operator of a branching channel, lowered to its kernel the first
+/// time a trajectory takes the branch: most branches of a weak channel
+/// are never taken in a run.
+pub(crate) struct Branch<'a> {
+    matrix: &'a Matrix,
+    kernel: OnceLock<Kernel>,
+}
+
+impl<'a> Branch<'a> {
+    fn new(matrix: &'a Matrix) -> Self {
+        Self { matrix, kernel: OnceLock::new() }
+    }
+
+    fn apply(&self, state: &mut crate::statevector::Statevector, qubits: &[usize]) {
+        state.apply_kernel(self.kernel.get_or_init(|| Kernel::exact(self.matrix, qubits)));
+    }
 }
 
 impl Channel<'_> {
     /// Writes the branch probabilities on `state` into `out`: the mixture
-    /// weights, or each Kraus effect's local expectation. Empty for a
-    /// fixed channel.
+    /// weights, or each Kraus effect's local expectation on `qubits`.
+    /// Empty for a fixed channel.
     pub(crate) fn probabilities(
         &self,
         state: &crate::statevector::Statevector,
@@ -329,7 +352,8 @@ impl Channel<'_> {
         probabilities.len().saturating_sub(1)
     }
 
-    /// Applies branch `branch` to `state`.
+    /// Applies branch `branch` to `state`; `qubits` are the ones the
+    /// channel was resolved on.
     pub(crate) fn apply_branch(
         &self,
         state: &mut crate::statevector::Statevector,
@@ -337,10 +361,10 @@ impl Channel<'_> {
         branch: usize,
     ) {
         match self {
-            Channel::Fixed(matrix) => state.apply_matrix(matrix, qubits),
-            Channel::Mixed(branches) => state.apply_matrix(&branches[branch].1, qubits),
+            Channel::Fixed(kernel) => state.apply_kernel(kernel),
+            Channel::Mixed(branches) => branches[branch].1.apply(state, qubits),
             Channel::Kraus { kraus, .. } => {
-                state.apply_matrix(&kraus[branch], qubits);
+                kraus[branch].apply(state, qubits);
                 state.renormalize();
             }
         }
@@ -426,10 +450,13 @@ impl ReadoutError {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NoiseModel {
-    gate_errors: HashMap<String, QuantumError>,
+    /// Shared with every [`NoiseModel::remapped`] copy: relabeling qubits
+    /// leaves gate-wide errors as they are.
+    gate_errors: Arc<HashMap<String, QuantumError>>,
     /// Keyed by gate name, then by qubit tuple, so a lookup borrows its
-    /// key instead of building one.
-    local_errors: HashMap<String, HashMap<Vec<usize>, QuantumError>>,
+    /// key instead of building one. Each error is shared with the
+    /// remapped copies, which relabel only the tuples.
+    local_errors: HashMap<String, HashMap<Vec<usize>, Arc<QuantumError>>>,
     readout: Option<ReadoutError>,
 }
 
@@ -464,7 +491,7 @@ impl NoiseModel {
 
     /// Attaches `error` to every occurrence of the gate named `name`.
     pub fn add_all_qubit_error(&mut self, name: impl Into<String>, error: QuantumError) {
-        self.gate_errors.insert(name.into(), error);
+        Arc::make_mut(&mut self.gate_errors).insert(name.into(), error);
     }
 
     /// Attaches `error` to the gate named `name` only on the exact qubit
@@ -475,7 +502,7 @@ impl NoiseModel {
         qubits: Vec<usize>,
         error: QuantumError,
     ) {
-        self.local_errors.entry(name.into()).or_default().insert(qubits, error);
+        self.local_errors.entry(name.into()).or_default().insert(qubits, Arc::new(error));
     }
 
     /// Sets the readout error applied to every measurement.
@@ -493,6 +520,7 @@ impl NoiseModel {
         self.local_errors
             .get(name)
             .and_then(|by_qubits| by_qubits.get(qubits))
+            .map(|error| &**error)
             .or_else(|| self.gate_errors.get(name))
     }
 
@@ -529,24 +557,30 @@ impl NoiseModel {
     /// Rewrites the model for a relabeled qubit space: every local error's
     /// qubit tuple is passed through `mapping`; entries whose qubits have
     /// no image are dropped. Gate-wide errors and the readout error are
-    /// unchanged.
+    /// unchanged. The errors themselves are shared, not copied.
     pub fn remapped(&self, mapping: impl Fn(usize) -> Option<usize>) -> NoiseModel {
-        let mut out = NoiseModel {
-            gate_errors: self.gate_errors.clone(),
-            local_errors: HashMap::new(),
-            readout: self.readout,
-        };
-        for (name, qubits, error) in self.local_entries() {
-            let remapped: Option<Vec<usize>> = qubits.iter().map(|&q| mapping(q)).collect();
-            if let Some(remapped) = remapped {
-                out.add_local_error(name, remapped, error.clone());
+        let mut local_errors = HashMap::new();
+        for (name, by_qubits) in &self.local_errors {
+            let relabeled: HashMap<Vec<usize>, Arc<QuantumError>> = by_qubits
+                .iter()
+                .filter_map(|(qubits, error)| {
+                    let remapped = qubits.iter().map(|&q| mapping(q)).collect::<Option<_>>()?;
+                    Some((remapped, Arc::clone(error)))
+                })
+                .collect();
+            if !relabeled.is_empty() {
+                local_errors.insert(name.clone(), relabeled);
             }
         }
-        out
+        NoiseModel {
+            gate_errors: Arc::clone(&self.gate_errors),
+            local_errors,
+            readout: self.readout,
+        }
     }
 
     /// Every local error as `(gate name, qubits, error)`.
-    fn local_entries(&self) -> impl Iterator<Item = (&str, &[usize], &QuantumError)> {
+    fn local_entries(&self) -> impl Iterator<Item = (&str, &[usize], &Arc<QuantumError>)> {
         self.local_errors.iter().flat_map(|(name, by_qubits)| {
             by_qubits.iter().map(move |(qubits, error)| (name.as_str(), qubits.as_slice(), error))
         })
@@ -743,5 +777,38 @@ mod tests {
         assert!(model.error_for("u", &[0]).is_some());
         assert!(model.error_for("cx", &[0, 1]).is_some());
         assert!(model.readout_error().is_none());
+    }
+
+    #[test]
+    fn remapping_shares_errors_and_keeps_fingerprints() {
+        let mut model = NoiseModel::depolarizing(0.001, 0.02, 0.03);
+        model.add_local_error("cx", vec![0, 1], QuantumError::depolarizing(0.05, 2));
+        model.add_local_error("cx", vec![2, 1], QuantumError::depolarizing(0.07, 2));
+        model.add_local_error("u", vec![3], QuantumError::phase_damping(0.2));
+        let remapped = model.remapped(|q| (q != 0).then_some(q + 4));
+        // Relabeling moves the tuples and drops entries with no image;
+        // the error values are the same allocations.
+        assert!(Arc::ptr_eq(&model.gate_errors, &remapped.gate_errors));
+        let gate_wide = model.error_for("cx", &[7, 8]).unwrap();
+        assert!(
+            std::ptr::eq(remapped.error_for("cx", &[4, 5]).unwrap(), gate_wide),
+            "qubit 0 has no image, so (0, 1) falls back to the gate-wide error"
+        );
+        assert!(std::ptr::eq(
+            model.error_for("cx", &[2, 1]).unwrap(),
+            remapped.error_for("cx", &[6, 5]).unwrap()
+        ));
+        assert!(std::ptr::eq(
+            model.error_for("u", &[3]).unwrap(),
+            remapped.error_for("u", &[7]).unwrap()
+        ));
+        // Fingerprint inputs are hashed as before the errors were shared.
+        let fingerprint = |model: &NoiseModel| {
+            let mut hasher = FnvHasher::default();
+            model.hash_fields(&mut hasher);
+            hasher.finish64()
+        };
+        assert_eq!(fingerprint(&model), 1_750_456_327_588_382_172);
+        assert_eq!(fingerprint(&remapped), 8_240_193_264_493_314_433);
     }
 }

@@ -3,7 +3,9 @@
 //! This module is the chunked multi-threaded kernel layer behind every
 //! noiseless dense evolution: [`crate::simulator::QasmSimulator`]'s
 //! evolve-once sampled path, [`crate::simulator::StatevectorSimulator`],
-//! [`ParallelStatevectorSimulator`] and the ideal density-matrix engine:
+//! [`ParallelStatevectorSimulator`] and the ideal density-matrix engine.
+//! [`Statevector::apply_matrix`] and the trajectory engine run the same
+//! kernels one at a time on the calling thread (`Kernel::apply`).
 //!
 //! * **Chunking** — the `2^n` amplitude array is partitioned into
 //!   cache-sized chunks of `2^chunk_qubits` entries; each gate pass is
@@ -19,7 +21,8 @@
 //!   the state is swept once per group instead of once per gate.
 //! * **SIMD lanes** — the butterfly, diagonal and dense kernels walk the
 //!   state two packed amplitudes at a time through [`crate::simd::F64x4`]
-//!   lane ops that LLVM autovectorizes; the lane formulas perform exactly
+//!   lane ops that LLVM autovectorizes (a butterfly on target bit 0 packs
+//!   its own pair into one vector); the lane formulas perform exactly
 //!   the scalar IEEE-754 operations per element, so `QUKIT_SIMD=off`
 //!   (the scalar fallback, also [`ParallelConfig::simd`] = false) is
 //!   *bit-identical*, not merely close.
@@ -31,7 +34,8 @@
 //!   becomes strided-within-tile instead of a full-state gather per gate,
 //!   and a fusion group's gates apply back-to-back from the group's gate
 //!   list without materializing a dense matrix. Tiles are disjoint, so
-//!   blocking changes neither values nor determinism.
+//!   blocking changes neither values nor determinism. A state that fits
+//!   in one chunk is already cache-resident and is never tiled.
 //! * **Batched sampling** — all shots are drawn from the terminal
 //!   distribution via a prefix-sum CDF and binary search, in fixed-size
 //!   batches with per-batch seeded RNG streams. Batch boundaries do not
@@ -46,7 +50,9 @@
 //! counters emitted by `qukit_terra::fusion`.
 
 use crate::error::{AerError, Result};
-use crate::simd::{complex_mul2, neg_im_vec, simd_default, F64x4};
+use crate::simd::{
+    complex_mul2, complex_mul_lanes, neg_im_pair, neg_im_vec, re_pair, simd_default, F64x4,
+};
 use crate::simulator::GateTally;
 use crate::statevector::Statevector;
 use qukit_obs::rng::{mix64, GOLDEN_GAMMA};
@@ -61,9 +67,10 @@ use std::ops::Range;
 use std::sync::Barrier;
 use std::time::Instant;
 
-/// Default chunk size: `2^13` amplitudes = 128 KiB of complex pairs,
-/// sized to stay cache-resident per worker.
-pub const DEFAULT_CHUNK_QUBITS: usize = 13;
+/// Default chunk size: `2^16` amplitudes = 1 MiB of complex pairs, half
+/// of a 2 MiB per-core L2. A state of at most 16 qubits is one chunk and is
+/// never gathered into tiles; a larger one is tiled in L2-resident blocks.
+pub const DEFAULT_CHUNK_QUBITS: usize = 16;
 
 /// Hard cap on worker threads.
 pub const MAX_THREADS: usize = 16;
@@ -179,14 +186,21 @@ pub(crate) fn batch_seed(seed: u64, batch: u64) -> u64 {
 
 /// A 2×2 pair update, pre-classified by entry structure so the hot loop
 /// runs the cheapest arithmetic the standard gate set allows: X blocks are
-/// pure swaps, real matrices (H, Ry, composed 1q runs) need half the real
-/// multiplies of the general case, and Rx-type matrices (real diagonal,
-/// purely imaginary off-diagonal) likewise. Classification uses *exact*
-/// zero/one comparisons, so it never perturbs the computed amplitudes.
+/// pure swaps, diagonal blocks (T, S, Z, P, Rz and the CP/CZ blocks) one
+/// multiply per amplitude that changes, real matrices (H, Ry, composed 1q
+/// runs) need half the real multiplies of the general case, and Rx-type
+/// matrices (real diagonal, purely imaginary off-diagonal) likewise.
+/// Classification uses *exact* zero/one comparisons, so a shape only drops
+/// terms that are `1·a` or `0·b`: the amplitudes equal the general
+/// formula's up to the sign of a zero.
 #[derive(Clone)]
-enum Butterfly {
+pub(crate) enum Butterfly {
     /// X block: swap the pair, no arithmetic.
     Swap,
+    /// Diagonal block `[[d0, 0], [0, d3]]`. `d0` is `None` when it is
+    /// exactly 1: `lo` is then never read or written, and the identity
+    /// block touches nothing at all.
+    Phase { d0: Option<Complex>, d3: Complex },
     /// All four entries real.
     Real([f64; 4]),
     /// Real diagonal, purely imaginary off-diagonal (`[[d0, i·o1], [i·o2, d3]]`).
@@ -195,8 +209,26 @@ enum Butterfly {
     General([Complex; 4]),
 }
 
+/// How a butterfly sweep walks its pairs.
+#[derive(Clone, Copy)]
+enum Lanes {
+    /// One pair at a time in scalar arithmetic: the `QUKIT_SIMD=off`
+    /// oracle, and pairs whose low indices are not contiguous.
+    Scalar,
+    /// Target bit 0: `lo` and `hi` are adjacent, so one vector holds the
+    /// whole pair.
+    InPair,
+    /// Two pairs per step over the contiguous runs of `expand`, with a
+    /// scalar tail inside each run for odd lengths.
+    TwoPairs,
+}
+
 impl Butterfly {
     fn classify(m: [Complex; 4]) -> Self {
+        let is_zero = |c: Complex| c.re == 0.0 && c.im == 0.0;
+        if is_zero(m[1]) && is_zero(m[2]) {
+            return Butterfly::Phase { d0: (m[0] != Complex::ONE).then_some(m[0]), d3: m[3] };
+        }
         if m.iter().all(|c| c.im == 0.0) {
             if m[0].re == 0.0 && m[3].re == 0.0 && m[1].re == 1.0 && m[2].re == 1.0 {
                 return Butterfly::Swap;
@@ -216,10 +248,11 @@ impl Butterfly {
     /// `run` is the guaranteed contiguity window of `expand`: within each
     /// aligned block of `run` consecutive `p` values, `expand(p + 1) ==
     /// expand(p) + 1` and bit `log2(stride)` of `expand(p)` stays clear.
-    /// With `simd` set and `run ≥ 2`, pairs are processed two at a time
-    /// through [`F64x4`] lanes; the lane formulas perform exactly the
-    /// scalar ops per element (products commuted, `a - b` as `a + (-b)`),
-    /// so the two paths are bit-identical.
+    /// With `simd` set, a pair on target bit 0 is one [`F64x4`], and with
+    /// `run ≥ 2` two pairs go through the lanes at once. Every lane
+    /// formula performs exactly the scalar ops per element (products and
+    /// sums commuted, `a - b` as `a + (-b)`), so the paths are
+    /// bit-identical.
     ///
     /// # Safety
     ///
@@ -236,162 +269,198 @@ impl Butterfly {
         simd: bool,
         expand: impl Fn(usize) -> usize,
     ) {
-        unsafe fn scalar(
-            amps: &RawAmps,
-            start: usize,
-            end: usize,
-            stride: usize,
-            expand: impl Fn(usize) -> usize,
-            f: impl Fn(Complex, Complex) -> (Complex, Complex),
-        ) {
-            for p in start..end {
-                let lo = expand(p);
-                let hi = lo | stride;
-                let a = amps.read(lo);
-                let b = amps.read(hi);
-                let (na, nb) = f(a, b);
-                amps.write(lo, na);
-                amps.write(hi, nb);
+        let lanes = match (simd, stride, run) {
+            (false, _, _) => Lanes::Scalar,
+            (true, 1, _) => Lanes::InPair,
+            (true, _, 2..) => Lanes::TwoPairs,
+            _ => Lanes::Scalar,
+        };
+        let walk = PairSweep { amps, start, end, stride, run, lanes, expand };
+        match *self {
+            Butterfly::Swap => walk.pairs(|a, b| (b, a), |a, b| (b, a), F64x4::swap_halves),
+            Butterfly::Phase { d0: None, d3 } if d3 == Complex::ONE => {}
+            Butterfly::Phase { d0: None, d3 } => {
+                let (re, im) = (F64x4::splat(d3.re), neg_im_vec(d3.im));
+                walk.highs(|b| d3 * b, |b| complex_mul_lanes(b, re, im));
             }
-        }
-        /// Two pairs per step over the contiguous runs of `expand`, with a
-        /// scalar head/tail inside each run for odd lengths.
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn pairs(
-            amps: &RawAmps,
-            start: usize,
-            end: usize,
-            stride: usize,
-            run: usize,
-            expand: impl Fn(usize) -> usize,
-            fv: impl Fn(F64x4, F64x4) -> (F64x4, F64x4),
-            fs: impl Fn(Complex, Complex) -> (Complex, Complex),
-        ) {
-            let mut p = start;
-            while p < end {
-                let run_end = ((p | (run - 1)) + 1).min(end);
-                let lo0 = expand(p);
-                let n = run_end - p;
-                let mut i = 0;
-                while i + 2 <= n {
-                    let lo = lo0 + i;
-                    let hi = lo | stride;
-                    let (na, nb) = fv(amps.load2(lo), amps.load2(hi));
-                    amps.store2(lo, na);
-                    amps.store2(hi, nb);
-                    i += 2;
-                }
-                while i < n {
-                    let lo = lo0 + i;
-                    let hi = lo | stride;
-                    let (na, nb) = fs(amps.read(lo), amps.read(hi));
-                    amps.write(lo, na);
-                    amps.write(hi, nb);
-                    i += 1;
-                }
-                p = run_end;
+            Butterfly::Phase { d0: Some(d0), d3 } => {
+                let (re0, im0) = (F64x4::splat(d0.re), neg_im_vec(d0.im));
+                let (re3, im3) = (F64x4::splat(d3.re), neg_im_vec(d3.im));
+                let (re, im) = (re_pair(d0, d3), neg_im_pair(d0, d3));
+                walk.pairs(
+                    |a, b| (d0 * a, d3 * b),
+                    |a, b| (complex_mul_lanes(a, re0, im0), complex_mul_lanes(b, re3, im3)),
+                    |v| complex_mul_lanes(v, re, im),
+                )
             }
-        }
-        if !simd || run < 2 {
-            return match *self {
-                Butterfly::Swap => scalar(amps, start, end, stride, expand, |a, b| (b, a)),
-                Butterfly::Real([m0, m1, m2, m3]) => {
-                    scalar(amps, start, end, stride, expand, |a, b| {
+            Butterfly::Real([m0, m1, m2, m3]) => {
+                let (own, other) = (F64x4([m0, m0, m3, m3]), F64x4([m1, m1, m2, m2]));
+                walk.pairs(
+                    |a, b| {
                         (
                             Complex::new(m0 * a.re + m1 * b.re, m0 * a.im + m1 * b.im),
                             Complex::new(m2 * a.re + m3 * b.re, m2 * a.im + m3 * b.im),
                         )
-                    })
-                }
-                Butterfly::Cross { d0, o1, o2, d3 } => {
-                    scalar(amps, start, end, stride, expand, |a, b| {
+                    },
+                    |a, b| {
+                        (
+                            a.mul(F64x4::splat(m0)).add(b.mul(F64x4::splat(m1))),
+                            a.mul(F64x4::splat(m2)).add(b.mul(F64x4::splat(m3))),
+                        )
+                    },
+                    |v| v.mul(own).add(v.swap_halves().mul(other)),
+                )
+            }
+            Butterfly::Cross { d0, o1, o2, d3 } => {
+                let (n1, n2) = (neg_im_vec(o1), neg_im_vec(o2));
+                let (own, other) = (F64x4([d0, d0, d3, d3]), F64x4([-o1, o1, -o2, o2]));
+                walk.pairs(
+                    |a, b| {
                         (
                             Complex::new(d0 * a.re - o1 * b.im, d0 * a.im + o1 * b.re),
                             Complex::new(d3 * b.re - o2 * a.im, d3 * b.im + o2 * a.re),
                         )
-                    })
-                }
-                Butterfly::General([m00, m01, m10, m11]) => {
-                    scalar(amps, start, end, stride, expand, |a, b| {
-                        (m00 * a + m01 * b, m10 * a + m11 * b)
-                    })
-                }
-            };
-        }
-        match *self {
-            // Swap is pure data movement; the scalar loop already runs at
-            // copy speed.
-            Butterfly::Swap => scalar(amps, start, end, stride, expand, |a, b| (b, a)),
-            Butterfly::Real([m0, m1, m2, m3]) => pairs(
-                amps,
-                start,
-                end,
-                stride,
-                run,
-                expand,
-                |a, b| {
-                    (
-                        a.mul(F64x4::splat(m0)).add(b.mul(F64x4::splat(m1))),
-                        a.mul(F64x4::splat(m2)).add(b.mul(F64x4::splat(m3))),
-                    )
-                },
-                |a, b| {
-                    (
-                        Complex::new(m0 * a.re + m1 * b.re, m0 * a.im + m1 * b.im),
-                        Complex::new(m2 * a.re + m3 * b.re, m2 * a.im + m3 * b.im),
-                    )
-                },
-            ),
-            Butterfly::Cross { d0, o1, o2, d3 } => {
-                let (n1, n2) = (neg_im_vec(o1), neg_im_vec(o2));
-                pairs(
-                    amps,
-                    start,
-                    end,
-                    stride,
-                    run,
-                    expand,
+                    },
                     |a, b| {
                         (
                             a.mul(F64x4::splat(d0)).add(b.swap_pairs().mul(n1)),
                             b.mul(F64x4::splat(d3)).add(a.swap_pairs().mul(n2)),
                         )
                     },
-                    |a, b| {
-                        (
-                            Complex::new(d0 * a.re - o1 * b.im, d0 * a.im + o1 * b.re),
-                            Complex::new(d3 * b.re - o2 * a.im, d3 * b.im + o2 * a.re),
-                        )
-                    },
+                    |v| v.mul(own).add(v.swap_halves().swap_pairs().mul(other)),
                 )
             }
             Butterfly::General([m00, m01, m10, m11]) => {
                 let (n00, n01) = (neg_im_vec(m00.im), neg_im_vec(m01.im));
                 let (n10, n11) = (neg_im_vec(m10.im), neg_im_vec(m11.im));
-                pairs(
-                    amps,
-                    start,
-                    end,
-                    stride,
-                    run,
-                    expand,
+                let (own_re, own_im) = (re_pair(m00, m11), neg_im_pair(m00, m11));
+                let (other_re, other_im) = (re_pair(m01, m10), neg_im_pair(m01, m10));
+                walk.pairs(
+                    |a, b| (m00 * a + m01 * b, m10 * a + m11 * b),
                     |a, b| {
                         (
                             complex_mul2(a, m00.re, n00).add(complex_mul2(b, m01.re, n01)),
                             complex_mul2(a, m10.re, n10).add(complex_mul2(b, m11.re, n11)),
                         )
                     },
-                    |a, b| (m00 * a + m01 * b, m10 * a + m11 * b),
+                    |v| {
+                        complex_mul_lanes(v, own_re, own_im).add(complex_mul_lanes(
+                            v.swap_halves(),
+                            other_re,
+                            other_im,
+                        ))
+                    },
                 )
             }
         }
     }
 }
 
-/// One dispatched operation, pre-lowered from a [`FusedOp`] for the hot
-/// loop: matrices flattened, operand masks precomputed.
+/// The pairs one butterfly sweep visits; see [`Butterfly::sweep`].
+struct PairSweep<'a, E> {
+    amps: &'a RawAmps,
+    start: usize,
+    end: usize,
+    stride: usize,
+    run: usize,
+    lanes: Lanes,
+    expand: E,
+}
+
+impl<E: Fn(usize) -> usize> PairSweep<'_, E> {
+    /// Updates both amplitudes of every pair: `scalar` on one pair,
+    /// `two` on two pairs' `lo` and `hi` vectors, `in_pair` on one pair
+    /// packed `[lo, hi]`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Butterfly::sweep`].
+    #[inline(always)]
+    unsafe fn pairs(
+        &self,
+        scalar: impl Fn(Complex, Complex) -> (Complex, Complex),
+        two: impl Fn(F64x4, F64x4) -> (F64x4, F64x4),
+        in_pair: impl Fn(F64x4) -> F64x4,
+    ) {
+        let PairSweep { amps, stride, .. } = *self;
+        let one = |lo: usize| {
+            let hi = lo | stride;
+            let (na, nb) = scalar(amps.read(lo), amps.read(hi));
+            amps.write(lo, na);
+            amps.write(hi, nb);
+        };
+        match self.lanes {
+            Lanes::Scalar => (self.start..self.end).for_each(|p| one((self.expand)(p))),
+            Lanes::InPair => (self.start..self.end).for_each(|p| {
+                let lo = (self.expand)(p);
+                amps.store2(lo, in_pair(amps.load2(lo)));
+            }),
+            Lanes::TwoPairs => self.runs(
+                |lo| {
+                    let hi = lo | stride;
+                    let (na, nb) = two(amps.load2(lo), amps.load2(hi));
+                    amps.store2(lo, na);
+                    amps.store2(hi, nb);
+                },
+                one,
+            ),
+        }
+    }
+
+    /// Updates only the `hi` amplitude of every pair: `scalar` on one,
+    /// `two` on two adjacent ones. Bit 0 gains nothing from packing a
+    /// pair whose `lo` stays as it is, so it walks in scalar.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Butterfly::sweep`].
+    #[inline(always)]
+    unsafe fn highs(&self, scalar: impl Fn(Complex) -> Complex, two: impl Fn(F64x4) -> F64x4) {
+        let PairSweep { amps, stride, .. } = *self;
+        let one = |lo: usize| {
+            let hi = lo | stride;
+            amps.write(hi, scalar(amps.read(hi)));
+        };
+        match self.lanes {
+            Lanes::Scalar | Lanes::InPair => {
+                (self.start..self.end).for_each(|p| one((self.expand)(p)))
+            }
+            Lanes::TwoPairs => self.runs(
+                |lo| {
+                    let hi = lo | stride;
+                    amps.store2(hi, two(amps.load2(hi)));
+                },
+                one,
+            ),
+        }
+    }
+
+    /// Calls `two(lo)` for each two consecutive low indices inside the
+    /// contiguous runs of `expand`, and `one(lo)` for an odd last one.
+    #[inline(always)]
+    fn runs(&self, two: impl Fn(usize), one: impl Fn(usize)) {
+        let mut p = self.start;
+        while p < self.end {
+            let run_end = ((p | (self.run - 1)) + 1).min(self.end);
+            let lo0 = (self.expand)(p);
+            let n = run_end - p;
+            let mut i = 0;
+            while i + 2 <= n {
+                two(lo0 + i);
+                i += 2;
+            }
+            if i < n {
+                one(lo0 + i);
+            }
+            p = run_end;
+        }
+    }
+}
+
+/// One dispatched operation, pre-lowered from a [`FusedOp`] or a matrix
+/// for the hot loop: matrices flattened, operand masks precomputed.
 #[derive(Clone)]
-enum Kernel {
+pub(crate) enum Kernel {
     /// 2×2 on one qubit (pair update, no gather buffer).
     OneQ { b: Butterfly, q: usize },
     /// Controlled 2×2 block on target `q`: only amplitude pairs whose
@@ -410,6 +479,78 @@ enum Kernel {
 }
 
 impl Kernel {
+    /// Lowers `matrix` on `qubits` (operand order = matrix bit order) to
+    /// apply it to a whole state with [`Kernel::apply`]. Unlike the
+    /// lowering of a fused program, a controlled or diagonal shape is only
+    /// taken when the entries it skips are exactly 1 and 0, so the result
+    /// equals [`qukit_terra::reference::apply_gate`]'s up to the sign of a
+    /// zero: a noise branch that is the identity to within rounding still
+    /// gets every one of its multiplies.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `matrix` is not `2^k × 2^k` for `k = qubits.len() ≥ 1`,
+    /// or an operand repeats.
+    pub(crate) fn exact(matrix: &Matrix, qubits: &[usize]) -> Kernel {
+        let dim = 1usize << qubits.len();
+        assert!(!qubits.is_empty(), "a gate acts on at least one qubit");
+        assert!(matrix.rows() == dim && matrix.cols() == dim, "matrix dimension mismatch");
+        for (i, q) in qubits.iter().enumerate() {
+            assert!(!qubits[..i].contains(q), "operand qubit {q} repeated");
+        }
+        if qubits.len() == 1 {
+            return gate_kernel(matrix, qubits, 0, false);
+        }
+        let exact_at = |r: usize, c: usize| {
+            matrix[(r, c)] == if r == c { Complex::ONE } else { Complex::ZERO }
+        };
+        if (0..dim).all(|r| (0..dim).all(|c| r == c || exact_at(r, c))) {
+            let factors = (0..dim).map(|i| matrix[(i, i)]).collect();
+            return diagonal_kernel(factors, qubits.to_vec());
+        }
+        for t in 0..qubits.len() {
+            // Controlled on every operand but `t`: the identity outside the
+            // 2×2 block where all the others are set.
+            let (cmask, tbit) = ((dim - 1) ^ (1 << t), 1 << t);
+            let in_block = |i: usize| i & cmask == cmask;
+            if (0..dim).all(|r| (0..dim).all(|c| (in_block(r) && in_block(c)) || exact_at(r, c))) {
+                let (lo, hi) = (cmask, cmask | tbit);
+                let block =
+                    [matrix[(lo, lo)], matrix[(lo, hi)], matrix[(hi, lo)], matrix[(hi, hi)]];
+                return controlled_kernel(t, block, qubits, 0, false);
+            }
+        }
+        dense_kernel(matrix, qubits, 0, false)
+    }
+
+    /// Applies this kernel to the whole of `amps` in one pass on the
+    /// calling thread, without allocating (a dense kernel over more than
+    /// three qubits excepted).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the kernel touches a bit outside `amps`.
+    pub(crate) fn apply(&self, amps: &mut [Complex], simd: bool) {
+        let len = amps.len();
+        assert!(len.is_power_of_two() && self.bits() < len, "operand qubit out of range");
+        let raw = RawAmps { ptr: amps.as_mut_ptr() };
+        let mut scratch = [Complex::ZERO; 8];
+        let mut wide = Vec::new();
+        // Only the dense kernel gathers into the scratch block.
+        let dim = if matches!(self, Kernel::Dense { .. }) { self.dim() } else { 0 };
+        let scratch = if dim <= scratch.len() {
+            &mut scratch[..]
+        } else {
+            wide.resize(dim, Complex::ZERO);
+            &mut wide[..]
+        };
+        // SAFETY: `amps` is exclusively borrowed and holds `len`
+        // amplitudes; every bit the kernel touches lies below `len`
+        // (checked above), and with `chunk_len == len` unit 0 is the whole
+        // state, applied once on this thread.
+        unsafe { self.apply_unit(&raw, len, len, 0, simd, scratch) };
+    }
+
     fn dim(&self) -> usize {
         match self {
             Kernel::OneQ { .. } | Kernel::Controlled { .. } => 2,
@@ -672,10 +813,10 @@ fn lower_program(
     for op in &program.ops {
         match op {
             FusedOp::Diagonal { factors, qubits, .. } => {
-                kernels.push(Kernel::Diag {
-                    factors: factors.iter().map(|&f| maybe_conj(f)).collect(),
-                    qubits: qubits.iter().map(|&q| q + shift).collect(),
-                });
+                kernels.push(diagonal_kernel(
+                    factors.iter().map(|&f| maybe_conj(f)).collect(),
+                    qubits.iter().map(|&q| q + shift).collect(),
+                ));
             }
             FusedOp::Unitary { matrix, qubits, .. } => {
                 kernels.push(gate_kernel(matrix, qubits, shift, conjugate));
@@ -727,21 +868,50 @@ fn gate_kernel(matrix: &Matrix, qubits: &[usize], shift: usize, conjugate: bool)
         };
     }
     if let Some((t, block)) = controlled_form(matrix) {
-        let mut inserts: Vec<(usize, usize)> =
-            qubits.iter().enumerate().map(|(pos, &q)| (q + shift, usize::from(pos != t))).collect();
-        inserts.sort_unstable();
-        return Kernel::Controlled {
-            b: Butterfly::classify([
-                maybe_conj(block[0]),
-                maybe_conj(block[1]),
-                maybe_conj(block[2]),
-                maybe_conj(block[3]),
-            ]),
-            inserts,
-            q: qubits[t] + shift,
-        };
+        return controlled_kernel(t, block, qubits, shift, conjugate);
     }
     dense_kernel(matrix, qubits, shift, conjugate)
+}
+
+/// The controlled kernel for `block` on operand `t`, every other operand
+/// a control.
+fn controlled_kernel(
+    t: usize,
+    block: [Complex; 4],
+    qubits: &[usize],
+    shift: usize,
+    conjugate: bool,
+) -> Kernel {
+    let mut inserts: Vec<(usize, usize)> =
+        qubits.iter().enumerate().map(|(pos, &q)| (q + shift, usize::from(pos != t))).collect();
+    inserts.sort_unstable();
+    Kernel::Controlled {
+        b: Butterfly::classify(block.map(|c| if conjugate { c.conj() } else { c })),
+        inserts,
+        q: qubits[t] + shift,
+    }
+}
+
+/// Lowers a diagonal unitary (`factors[i]` on the basis state whose
+/// operand bits spell `i`). When every factor is exactly 1 except on the
+/// two states where all operands but one are set, it is a phase block on
+/// that one operand, controlled by the others: a lone T, S, Z or P becomes
+/// a [`Butterfly::Phase`] on its qubit, and CZ or CP touch only the
+/// amplitudes with both bits set. Anything else multiplies every
+/// amplitude.
+fn diagonal_kernel(factors: Vec<Complex>, qubits: Vec<usize>) -> Kernel {
+    let dim = factors.len();
+    for t in 0..qubits.len() {
+        let cmask = (dim - 1) ^ (1 << t);
+        if factors.iter().enumerate().all(|(i, &f)| i & cmask == cmask || f == Complex::ONE) {
+            let block = [factors[cmask], Complex::ZERO, Complex::ZERO, factors[dim - 1]];
+            if qubits.len() == 1 {
+                return Kernel::OneQ { b: Butterfly::classify(block), q: qubits[0] };
+            }
+            return controlled_kernel(t, block, &qubits, 0, false);
+        }
+    }
+    Kernel::Diag { factors, qubits }
 }
 
 fn dense_kernel(matrix: &Matrix, qubits: &[usize], shift: usize, conjugate: bool) -> Kernel {
@@ -930,15 +1100,15 @@ fn plan_phases(kernels: &[Kernel], len: usize, chunk_len: usize, simd: bool) -> 
 
 /// Applies a kernel list to the amplitude array, serially or with a
 /// scoped barrier-synchronized worker pool, after planning the kernels
-/// into cache-blocked phases.
-fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelConfig) {
+/// into cache-blocked phases. Returns the number of blocked phases.
+fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelConfig) -> usize {
     let len = state.len();
     let chunk_len = config.chunk_len();
     let threads = config.effective_threads(len);
     let simd = config.simd;
     let scratch_dim = kernels.iter().map(Kernel::dim).max().unwrap_or(1);
     if kernels.is_empty() {
-        return;
+        return 0;
     }
     let plans = plan_phases(kernels, len, chunk_len, simd);
     let tile_len =
@@ -1035,27 +1205,46 @@ fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelCon
     qukit_obs::counter_add("qukit_aer_kernel_controlled_total", kinds[1]);
     qukit_obs::counter_add("qukit_aer_kernel_diag_total", kinds[2]);
     qukit_obs::counter_add("qukit_aer_kernel_dense_total", kinds[3]);
-    let blocked = plans.iter().filter(|plan| !matches!(plan, PhasePlan::Direct(_))).count() as u64;
+    let blocked = plans.iter().filter(|plan| !matches!(plan, PhasePlan::Direct(_))).count();
     if blocked > 0 {
         let tiles: u64 = plans
             .iter()
             .filter(|plan| !matches!(plan, PhasePlan::Direct(_)))
             .map(|plan| plan.unit_count(kernels, len, chunk_len) as u64)
             .sum();
-        qukit_obs::counter_add("qukit_aer_blocked_phases_total", blocked);
+        qukit_obs::counter_add("qukit_aer_blocked_phases_total", blocked as u64);
         qukit_obs::counter_add("qukit_aer_blocked_tiles_total", tiles);
     }
     qukit_obs::counter_add("qukit_aer_parallel_chunks_total", chunks);
+    blocked
+}
+
+/// What one fused evolution did: the decisions `aer.qasm_run` records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Evolved {
+    /// Source gates.
+    pub(crate) gates: usize,
+    /// Operations the fusion pass turned them into.
+    pub(crate) ops: usize,
+    /// Phases applied tile by tile: none for a state that fits in one
+    /// chunk.
+    pub(crate) tiled: usize,
+}
+
+impl std::fmt::Display for Evolved {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "fused={}/{} tiled={}", self.ops, self.gates, self.tiled)
+    }
 }
 
 /// Fuses and applies a stream of plain gate instructions to the state,
-/// recording per-gate tallies. Returns the lowered op count.
+/// recording per-gate tallies.
 pub(crate) fn evolve_fused(
     amps: &mut [Complex],
     gates: &[Instruction],
     config: &ParallelConfig,
     tally: &mut GateTally,
-) -> Result<usize> {
+) -> Result<Evolved> {
     let program = fuse(gates, &config.fusion_config());
     let mut kernels = Vec::with_capacity(program.ops.len());
     lower_program(&program, 0, false, &mut kernels)?;
@@ -1063,8 +1252,8 @@ pub(crate) fn evolve_fused(
     for op in &program.ops {
         tally.record_n(op.gates_fused() as u64, dim);
     }
-    apply_kernels(amps, &kernels, config);
-    Ok(kernels.len())
+    let tiled = apply_kernels(amps, &kernels, config);
+    Ok(Evolved { gates: gates.len(), ops: program.ops.len(), tiled })
 }
 
 /// Applies a fused program two-sidedly to a flat density matrix
@@ -1244,6 +1433,7 @@ pub(crate) fn evolve_unitary(
 mod tests {
     use super::*;
     use qukit_terra::gate::Gate;
+    use qukit_terra::matrix::Matrix;
 
     #[test]
     fn batch_seeds_are_pinned() {
@@ -1540,5 +1730,215 @@ mod tests {
                 .effective_threads(64),
             8
         );
+    }
+
+    /// One 2×2 block of every butterfly shape, with the shape it must
+    /// classify as.
+    fn shapes() -> Vec<(&'static str, Matrix)> {
+        let rz = Gate::Rz(0.9).matrix();
+        vec![
+            ("swap", Gate::X.matrix()),
+            ("phase, d0 = 1", Gate::T.matrix()),
+            ("phase", rz),
+            ("real", Gate::Ry(0.4).matrix()),
+            ("cross", Gate::Rx(1.3).matrix()),
+            ("general", Gate::U(0.3, 1.1, -0.6).matrix()),
+        ]
+    }
+
+    fn shape_of(b: &Butterfly) -> &'static str {
+        match b {
+            Butterfly::Swap => "swap",
+            Butterfly::Phase { d0: None, .. } => "phase, d0 = 1",
+            Butterfly::Phase { d0: Some(_), .. } => "phase",
+            Butterfly::Real(_) => "real",
+            Butterfly::Cross { .. } => "cross",
+            Butterfly::General(_) => "general",
+        }
+    }
+
+    fn random_amps(n: usize, seed: u64) -> Vec<Complex> {
+        qukit_terra::reference::random_state(n, &mut StdRng::seed_from_u64(seed))
+    }
+
+    fn bits_of(amps: &[Complex]) -> Vec<(u64, u64)> {
+        amps.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn every_butterfly_shape_matches_the_reference_with_simd_equal_to_scalar() {
+        let (n, chunk_qubits) = (7usize, 4usize);
+        // Target bit 0 (the in-pair lanes), bit 1, both sides of the tile
+        // boundary, and the top bit.
+        let targets = [0usize, 1, chunk_qubits - 1, chunk_qubits, n - 1];
+        for (name, block) in shapes() {
+            for &t in &targets {
+                // No control, one control below or above the target, and
+                // two controls on either side.
+                let others: Vec<usize> = (0..n).filter(|&q| q != t).collect();
+                let control_sets: [Vec<usize>; 4] =
+                    [vec![], vec![others[0]], vec![others[n - 2]], vec![others[1], others[n - 3]]];
+                for controls in control_sets {
+                    let mut matrix = block.clone();
+                    for _ in &controls {
+                        matrix = qukit_terra::gate::controlled_matrix(&matrix);
+                    }
+                    // controlled_matrix puts each new control at bit 0.
+                    let qubits: Vec<usize> =
+                        controls.iter().rev().copied().chain(std::iter::once(t)).collect();
+                    let kernel = Kernel::exact(&matrix, &qubits);
+                    let b = match &kernel {
+                        Kernel::OneQ { b, .. } | Kernel::Controlled { b, .. } => b,
+                        _ => panic!("{name}: a 2×2 block lowers to a butterfly"),
+                    };
+                    assert_eq!(shape_of(b), name, "target {t}, controls {controls:?}");
+                    let context = format!("{name}, target {t}, controls {controls:?}");
+                    let start = random_amps(n, 31 + t as u64);
+                    let mut expect = start.clone();
+                    qukit_terra::reference::apply_gate(&mut expect, &matrix, &qubits);
+                    let mut scalar = start.clone();
+                    kernel.apply(&mut scalar, false);
+                    let mut lanes = start.clone();
+                    kernel.apply(&mut lanes, true);
+                    assert_eq!(bits_of(&lanes), bits_of(&scalar), "{context}: SIMD vs scalar");
+                    for (got, want) in scalar.iter().zip(&expect) {
+                        assert!((*got - *want).norm() < 1e-12, "{context}: {got:?} vs {want:?}");
+                    }
+                    // The same kernel in a blocked phase with a gate on
+                    // another qubit, tiled at the boundary, scalar and SIMD,
+                    // one and two workers: bit-identical to applying the
+                    // three kernels one after another.
+                    let h = gate_kernel(&Gate::H.matrix(), &[others[2]], 0, false);
+                    let kernels = [kernel.clone(), h.clone(), kernel.clone()];
+                    let mut sequential = start.clone();
+                    for k in &kernels {
+                        k.apply(&mut sequential, true);
+                    }
+                    for threads in [1usize, 2] {
+                        for simd in [false, true] {
+                            let config =
+                                ParallelConfig { threads, chunk_qubits, fusion: true, simd };
+                            let mut planned = start.clone();
+                            apply_kernels(&mut planned, &kernels, &config);
+                            assert_eq!(
+                                bits_of(&planned),
+                                bits_of(&sequential),
+                                "{context}: planned, threads {threads}, simd {simd}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lone_diagonals_lower_to_phase_blocks() {
+        let program = fuse(
+            &[
+                Instruction::gate(Gate::T, vec![3]),
+                Instruction::gate(Gate::H, vec![0]),
+                Instruction::gate(Gate::Cp(0.5), vec![1, 4]),
+                Instruction::gate(Gate::H, vec![1]),
+                Instruction::gate(Gate::Rzz(0.3), vec![2, 0]),
+            ],
+            &FusionConfig::default(),
+        );
+        let mut kernels = Vec::new();
+        lower_program(&program, 0, false, &mut kernels).unwrap();
+        let shapes: Vec<String> = kernels
+            .iter()
+            .map(|k| match k {
+                Kernel::OneQ { b, q } => format!("oneq {} q{q}", shape_of(b)),
+                Kernel::Controlled { b, q, inserts } => {
+                    format!("controlled {} q{q} {inserts:?}", shape_of(b))
+                }
+                Kernel::Diag { qubits, .. } => format!("diag {qubits:?}"),
+                Kernel::Dense { qubits, .. } => format!("dense {qubits:?}"),
+            })
+            .collect();
+        assert_eq!(
+            shapes,
+            [
+                "oneq phase, d0 = 1 q3",
+                "oneq real q0",
+                "controlled phase, d0 = 1 q1 [(1, 0), (4, 1)]",
+                "oneq real q1",
+                "diag [2, 0]",
+            ]
+        );
+    }
+
+    #[test]
+    fn apply_matrix_kernels_equal_the_reference_up_to_the_sign_of_zero() {
+        // Random 1-, 2- and 3-qubit unitaries (random U layers and CXs) on
+        // every kind of operand placement, plus the standard gates whose
+        // shapes skip terms: dense kernels perform the reference's exact
+        // operations, and the skipped terms are `1·a` and `0·b`, so every
+        // amplitude compares equal as a number.
+        let n = 5;
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut cases: Vec<(Matrix, Vec<usize>)> = Vec::new();
+        for k in 1..=3usize {
+            for _ in 0..6 {
+                let mut circuit = QuantumCircuit::new(k);
+                for layer in 0..3 {
+                    for q in 0..k {
+                        let [a, b, c] = [0; 3].map(|_| rng.gen_range(-3.0..3.0));
+                        circuit.append(Gate::U(a, b, c), &[q]).unwrap();
+                    }
+                    if k > 1 {
+                        circuit.cx(layer % k, (layer + 1) % k).unwrap();
+                    }
+                }
+                let matrix = crate::simulator::UnitarySimulator::new().run(&circuit).unwrap();
+                let mut qubits: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    qubits.swap(i, rng.gen_range(0..=i));
+                }
+                qubits.truncate(k);
+                cases.push((matrix, qubits));
+            }
+        }
+        for (gate, qubits) in [
+            (Gate::CX, vec![3, 1]),
+            (Gate::Cp(0.8), vec![0, 4]),
+            (Gate::CZ, vec![2, 3]),
+            (Gate::Rzz(0.6), vec![4, 1]),
+            (Gate::Ccx, vec![4, 0, 2]),
+            (Gate::Swap, vec![1, 3]),
+            (Gate::S, vec![0]),
+        ] {
+            cases.push((gate.matrix(), qubits));
+        }
+        for (matrix, qubits) in cases {
+            let start = random_amps(n, 5);
+            let mut expect = start.clone();
+            qukit_terra::reference::apply_gate(&mut expect, &matrix, &qubits);
+            let mut state = Statevector::from_amplitudes(start);
+            state.apply_matrix(&matrix, &qubits);
+            for (got, want) in state.amplitudes().iter().zip(&expect) {
+                assert!(got.re == want.re && got.im == want.im, "{qubits:?}: {got:?} vs {want:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn states_that_fit_in_one_chunk_plan_no_tiles() {
+        let plan = |n: usize| {
+            let mut gates: Vec<Instruction> =
+                (0..n).map(|q| Instruction::gate(Gate::H, vec![q])).collect();
+            gates.extend((1..n).map(|q| Instruction::gate(Gate::CX, vec![q - 1, q])));
+            let config = ParallelConfig { simd: true, ..ParallelConfig::with_threads(1) };
+            let mut kernels = Vec::new();
+            lower_program(&fuse(&gates, &config.fusion_config()), 0, false, &mut kernels).unwrap();
+            plan_phases(&kernels, 1 << n, config.chunk_len(), config.simd)
+        };
+        let tiles = |plans: &[PhasePlan]| {
+            plans.iter().filter(|p| matches!(p, PhasePlan::Tiles { .. })).count()
+        };
+        let at_16 = plan(16);
+        assert!(at_16.iter().all(|p| matches!(p, PhasePlan::Direct(_))), "16 qubits is one chunk");
+        assert!(tiles(&plan(20)) > 0, "20 qubits outgrow a chunk and are tiled");
     }
 }

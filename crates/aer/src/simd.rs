@@ -20,6 +20,7 @@
 //!   therefore produce bit-identical amplitudes — a property the
 //!   `parallel_equivalence` suite checks on 200 random circuits.
 
+use qukit_terra::complex::Complex;
 use std::sync::OnceLock;
 
 /// Four `f64` lanes; elementwise ops autovectorize on stable Rust.
@@ -60,6 +61,16 @@ impl F64x4 {
         let [a, b, c, d] = self.0;
         Self([b, a, d, c])
     }
+
+    /// Swaps the two packed complexes: `[a, b, c, d] → [c, d, a, b]`.
+    ///
+    /// When one vector holds both amplitudes of a butterfly pair (target
+    /// qubit 0), this lines each amplitude up with its partner.
+    #[inline(always)]
+    pub fn swap_halves(self) -> Self {
+        let [a, b, c, d] = self.0;
+        Self([c, d, a, b])
+    }
 }
 
 /// Multiplies two packed amplitudes by the complex constant `(re, im)`,
@@ -71,13 +82,35 @@ impl F64x4 {
 /// addition of a negated product.
 #[inline(always)]
 pub fn complex_mul2(v: F64x4, re: f64, neg_im_im: F64x4) -> F64x4 {
-    v.mul(F64x4::splat(re)).add(v.swap_pairs().mul(neg_im_im))
+    complex_mul_lanes(v, F64x4::splat(re), neg_im_im)
+}
+
+/// Multiplies each packed amplitude by its own complex constant: the
+/// first by `(re[0], im[1])`, the second by `(re[2], im[3])`, with the
+/// same per-element ops as [`complex_mul2`]. `re` holds each real part
+/// twice, `neg_im_im` each imaginary part as `[-im, im]`.
+#[inline(always)]
+pub fn complex_mul_lanes(v: F64x4, re: F64x4, neg_im_im: F64x4) -> F64x4 {
+    v.mul(re).add(v.swap_pairs().mul(neg_im_im))
 }
 
 /// Builds the `[-im, im, -im, im]` weight vector for [`complex_mul2`].
 #[inline(always)]
 pub fn neg_im_vec(im: f64) -> F64x4 {
     F64x4([-im, im, -im, im])
+}
+
+/// The real parts of `lo` and `hi`, each twice: `[lo.re, lo.re, hi.re,
+/// hi.re]`, the `re` weights of [`complex_mul_lanes`].
+#[inline(always)]
+pub fn re_pair(lo: Complex, hi: Complex) -> F64x4 {
+    F64x4([lo.re, lo.re, hi.re, hi.re])
+}
+
+/// The `[-lo.im, lo.im, -hi.im, hi.im]` weights of [`complex_mul_lanes`].
+#[inline(always)]
+pub fn neg_im_pair(lo: Complex, hi: Complex) -> F64x4 {
+    F64x4([-lo.im, lo.im, -hi.im, hi.im])
 }
 
 /// Whether the SIMD kernels are enabled by default, from `QUKIT_SIMD`
@@ -102,12 +135,25 @@ mod tests {
         assert_eq!(a.add(b), F64x4([1.5, 2.25, 2.0, 6.0]));
         assert_eq!(a.mul(b), F64x4([0.5, 0.5, -3.0, 8.0]));
         assert_eq!(a.swap_pairs(), F64x4([2.0, 1.0, 4.0, 3.0]));
+        assert_eq!(a.swap_halves(), F64x4([3.0, 4.0, 1.0, 2.0]));
         assert_eq!(F64x4::splat(7.0), F64x4([7.0; 4]));
     }
 
     #[test]
+    fn complex_mul_lanes_matches_complex_mul_bitwise() {
+        let amps = [Complex::new(0.3, -0.7), Complex::new(-0.12345, 0.9999)];
+        let f = [Complex::new(0.6, -0.8), Complex::new(-0.28, 0.96)];
+        let v = F64x4([amps[0].re, amps[0].im, amps[1].re, amps[1].im]);
+        let out = complex_mul_lanes(v, re_pair(f[0], f[1]), neg_im_pair(f[0], f[1]));
+        for k in 0..2 {
+            let expect = f[k] * amps[k];
+            assert_eq!(out.0[2 * k].to_bits(), expect.re.to_bits());
+            assert_eq!(out.0[2 * k + 1].to_bits(), expect.im.to_bits());
+        }
+    }
+
+    #[test]
     fn complex_mul2_matches_complex_mul_bitwise() {
-        use qukit_terra::complex::Complex;
         let amps = [Complex::new(0.3, -0.7), Complex::new(-0.12345, 0.9999)];
         let f = Complex::new(0.6, -0.8);
         let v = F64x4([amps[0].re, amps[0].im, amps[1].re, amps[1].im]);

@@ -136,7 +136,9 @@ impl QasmSimulator {
     /// runs on the shot tree (`trajectory`): shots that make the same
     /// random decisions share one evolution, with the counts a
     /// shot-by-shot replay gives. The `aer.qasm_run` span records which
-    /// path ran and, for trajectories, why and how many distinct
+    /// path ran; for a sampled run, how many operations fusion made of the
+    /// gates and how many phases ran tile by tile (`fused=<ops>/<gates>
+    /// tiled=<phases>`); for trajectories, why and how many distinct
     /// trajectories (`trajectories=<leaves>`) were evolved.
     ///
     /// # Errors
@@ -155,7 +157,9 @@ impl QasmSimulator {
         qukit_obs::counter_add("qukit_aer_shots_total", shots as u64);
         if reason.is_none() {
             let base_seed = self.seed.unwrap_or_else(|| rng.gen());
-            return self.run_sampled(circuit, shots, base_seed, &mut Vec::new());
+            let (counts, evolved) = self.run_sampled(circuit, shots, base_seed, &mut Vec::new())?;
+            span.append_detail(format_args!("{evolved}"));
+            return Ok(counts);
         }
         let plan = Plan::new(circuit, self.noise.as_ref());
         let mut tally = GateTally::default();
@@ -198,7 +202,7 @@ impl QasmSimulator {
                 qukit_obs::counter_inc("qukit_aer_qasm_runs_total");
                 qukit_obs::counter_add("qukit_aer_shots_total", shots as u64);
                 let base_seed = self.seed.unwrap_or_else(|| rand::thread_rng().gen());
-                self.run_sampled(circuit, shots, base_seed, &mut amps)
+                Ok(self.run_sampled(circuit, shots, base_seed, &mut amps)?.0)
             })
             .collect()
     }
@@ -222,7 +226,7 @@ impl QasmSimulator {
         shots: usize,
         base_seed: u64,
         amps: &mut Vec<Complex>,
-    ) -> Result<Counts> {
+    ) -> Result<(Counts, parallel::Evolved)> {
         let mut gates: Vec<Instruction> = Vec::new();
         let mut measures: Vec<(usize, usize)> = Vec::new();
         for inst in circuit.instructions() {
@@ -237,7 +241,7 @@ impl QasmSimulator {
         amps.resize(1usize << circuit.num_qubits(), Complex::ZERO);
         amps[0] = Complex::ONE;
         let mut tally = GateTally::default();
-        parallel::evolve_fused(amps, &gates, &self.parallel, &mut tally)?;
+        let evolved = parallel::evolve_fused(amps, &gates, &self.parallel, &mut tally)?;
         tally.flush(STATEVECTOR_GATES);
         let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "cdf")
             .with_metric("qukit_aer_sample_seconds");
@@ -253,7 +257,7 @@ impl QasmSimulator {
             }
             counts.record(outcome);
         }
-        Ok(counts)
+        Ok((counts, evolved))
     }
 
     /// Shot-parallel trajectories: shots are split into fixed-size batches

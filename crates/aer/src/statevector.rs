@@ -1,12 +1,14 @@
 //! Statevector representation and manipulation.
 //!
 //! [`Statevector`] is the mutable quantum-state object the simulators in
-//! this crate are built on: gate application via bit-sliced updates,
-//! projective measurement with collapse, reset, expectation values and
-//! fidelities.
+//! this crate are built on: gate application through the kernels of
+//! [`crate::parallel`], projective measurement with collapse, reset,
+//! expectation values and fidelities.
 
-use crate::simd::{complex_mul2, neg_im_vec, simd_default, F64x4};
+use crate::parallel::Kernel;
+use crate::simd::simd_default;
 use qukit_terra::complex::Complex;
+use qukit_terra::gate::Gate;
 use qukit_terra::matrix::Matrix;
 use rand::Rng;
 use std::fmt;
@@ -64,19 +66,20 @@ impl Statevector {
         self.amplitudes[index]
     }
 
-    /// Applies a k-qubit gate matrix to the given qubits.
+    /// Applies a k-qubit gate matrix to the given qubits (`qubits[j]` is
+    /// bit `j` of the matrix index).
     ///
-    /// Optimized single-qubit and controlled-NOT paths avoid the general
-    /// gather/scatter; everything else routes through the generic kernel.
+    /// Runs the same kernels as the fused engine (`parallel::Kernel`), in
+    /// the shape the matrix allows: a butterfly on one qubit, a block on
+    /// the amplitudes whose control bits are set, a diagonal, or a dense
+    /// gather. Amplitudes equal the reference implementation's up to the
+    /// sign of a zero.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch or out-of-range qubits.
+    /// Panics on dimension mismatch, repeated or out-of-range qubits.
     pub fn apply_matrix(&mut self, matrix: &Matrix, qubits: &[usize]) {
-        match qubits.len() {
-            1 => self.apply_1q(matrix, qubits[0]),
-            _ => qukit_terra::reference::apply_gate(&mut self.amplitudes, matrix, qubits),
-        }
+        self.apply_kernel(&Kernel::exact(matrix, qubits));
     }
 
     /// Applies a standard gate.
@@ -84,85 +87,14 @@ impl Statevector {
     /// # Panics
     ///
     /// Panics on out-of-range qubits.
-    pub fn apply_gate(&mut self, gate: qukit_terra::gate::Gate, qubits: &[usize]) {
-        use qukit_terra::gate::Gate;
-        match gate {
-            Gate::CX => self.apply_cx(qubits[0], qubits[1]),
-            Gate::X => self.apply_x(qubits[0]),
-            _ => self.apply_matrix(&gate.matrix(), qubits),
-        }
+    pub fn apply_gate(&mut self, gate: Gate, qubits: &[usize]) {
+        self.apply_matrix(&gate.matrix(), qubits);
     }
 
-    fn apply_1q(&mut self, m: &Matrix, q: usize) {
-        assert!(q < self.num_qubits, "qubit {q} out of range");
-        let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
-        let stride = 1usize << q;
-        let dim = self.amplitudes.len();
-        if simd_default() && stride >= 2 && dim >= 256 {
-            // Two amplitude pairs per lane op. Runs are stride-long and
-            // stride is a power of two ≥ 2, so there is never a tail. The
-            // lane formulas perform exactly the scalar ops below per
-            // element, keeping this path bit-identical to the fallback.
-            // States under 256 amplitudes stay on the scalar loop: they
-            // are L1-resident either way and the lane marshalling
-            // overhead outweighs any vector win at that size.
-            let (n00, n01) = (neg_im_vec(m00.im), neg_im_vec(m01.im));
-            let (n10, n11) = (neg_im_vec(m10.im), neg_im_vec(m11.im));
-            let mut base = 0usize;
-            while base < dim {
-                let (lo, hi) = self.amplitudes[base..base + (stride << 1)].split_at_mut(stride);
-                let mut i = 0usize;
-                while i + 2 <= stride {
-                    let a = F64x4([lo[i].re, lo[i].im, lo[i + 1].re, lo[i + 1].im]);
-                    let b = F64x4([hi[i].re, hi[i].im, hi[i + 1].re, hi[i + 1].im]);
-                    let ra = complex_mul2(a, m00.re, n00).add(complex_mul2(b, m01.re, n01));
-                    let rb = complex_mul2(a, m10.re, n10).add(complex_mul2(b, m11.re, n11));
-                    lo[i] = Complex::new(ra.0[0], ra.0[1]);
-                    lo[i + 1] = Complex::new(ra.0[2], ra.0[3]);
-                    hi[i] = Complex::new(rb.0[0], rb.0[1]);
-                    hi[i + 1] = Complex::new(rb.0[2], rb.0[3]);
-                    i += 2;
-                }
-                base += stride << 1;
-            }
-            return;
-        }
-        let mut base = 0usize;
-        while base < dim {
-            for offset in base..base + stride {
-                let a = self.amplitudes[offset];
-                let b = self.amplitudes[offset + stride];
-                self.amplitudes[offset] = m00 * a + m01 * b;
-                self.amplitudes[offset + stride] = m10 * a + m11 * b;
-            }
-            base += stride << 1;
-        }
-    }
-
-    fn apply_x(&mut self, q: usize) {
-        assert!(q < self.num_qubits, "qubit {q} out of range");
-        let stride = 1usize << q;
-        let dim = self.amplitudes.len();
-        let mut base = 0usize;
-        while base < dim {
-            for offset in base..base + stride {
-                self.amplitudes.swap(offset, offset + stride);
-            }
-            base += stride << 1;
-        }
-    }
-
-    fn apply_cx(&mut self, control: usize, target: usize) {
-        assert!(control < self.num_qubits && target < self.num_qubits, "qubit out of range");
-        assert_ne!(control, target, "control equals target");
-        let cmask = 1usize << control;
-        let tmask = 1usize << target;
-        for idx in 0..self.amplitudes.len() {
-            // Visit each swapped pair once: require control set, target 0.
-            if idx & cmask != 0 && idx & tmask == 0 {
-                self.amplitudes.swap(idx, idx | tmask);
-            }
-        }
+    /// Applies a kernel lowered once and reused (the trajectory engine's
+    /// gates and noise branches).
+    pub(crate) fn apply_kernel(&mut self, kernel: &Kernel) {
+        kernel.apply(&mut self.amplitudes, simd_default());
     }
 
     /// Multiplies the whole state by `e^{iφ}`.
@@ -175,14 +107,15 @@ impl Statevector {
         }
     }
 
-    /// Probability of measuring qubit `q` as `1`.
+    /// Probability of measuring qubit `q` as `1`: the squared norms of the
+    /// upper half of every `2^(q+1)` block, summed in ascending index
+    /// order.
     pub fn probability_one(&self, q: usize) -> f64 {
-        let mask = 1usize << q;
+        let stride = 1usize << q;
         self.amplitudes
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| idx & mask != 0)
-            .map(|(_, amp)| amp.norm_sqr())
+            .chunks_exact(stride << 1)
+            .flat_map(|block| &block[stride..])
+            .map(|amp| amp.norm_sqr())
             .sum()
     }
 
@@ -208,13 +141,16 @@ impl Statevector {
     /// probability.
     pub(crate) fn collapse(&mut self, q: usize, outcome: bool, prob: f64) {
         debug_assert!(prob > 1e-15, "collapsing onto a zero-probability branch");
-        let mask = 1usize << q;
+        let stride = 1usize << q;
         let scale = 1.0 / prob.sqrt();
-        for (idx, amp) in self.amplitudes.iter_mut().enumerate() {
-            if ((idx & mask != 0) == outcome) && prob > 0.0 {
-                *amp = amp.scale(scale);
+        for block in self.amplitudes.chunks_exact_mut(stride << 1) {
+            let (zeros, ones) = block.split_at_mut(stride);
+            let (kept, dropped) = if outcome { (ones, zeros) } else { (zeros, ones) };
+            dropped.fill(Complex::ZERO);
+            if prob > 0.0 {
+                kept.iter_mut().for_each(|amp| *amp = amp.scale(scale));
             } else {
-                *amp = Complex::ZERO;
+                kept.fill(Complex::ZERO);
             }
         }
     }
@@ -222,7 +158,7 @@ impl Statevector {
     /// Resets qubit `q` to `|0⟩` (measure + conditional flip).
     pub fn reset(&mut self, q: usize, rng: &mut impl Rng) {
         if self.measure(q, rng) {
-            self.apply_x(q);
+            self.apply_gate(Gate::X, &[q]);
         }
     }
 
@@ -418,10 +354,10 @@ mod tests {
 
     #[test]
     fn apply_1q_is_bit_identical_to_scalar_formula() {
-        // Whichever path apply_1q takes (SIMD lanes or the scalar loop),
-        // the result must equal the scalar butterfly formula bit for bit.
-        // 9 qubits keeps the state above the 256-amplitude floor below
-        // which apply_1q always takes the scalar loop.
+        // Whichever shape and lanes the kernel takes (Rx is the
+        // real-diagonal, imaginary-off-diagonal butterfly), the result
+        // must equal the general butterfly formula as numbers: the shape
+        // only drops products with a zero entry.
         let mut sv = Statevector::new(9);
         for q in 0..9 {
             sv.apply_gate(Gate::H, &[q]);

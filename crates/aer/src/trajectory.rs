@@ -3,8 +3,9 @@
 //! gates after a measure).
 //!
 //! Shots that have made the same random decisions so far share one state.
-//! A run resolves every instruction once into a [`Plan`] (its gate matrix,
-//! and its noise channel as none, fixed, mixed-unitary or general Kraus),
+//! A run resolves every instruction once into a [`Plan`] (its gate lowered
+//! to the kernel that applies it, and its noise channel as none, fixed,
+//! mixed-unitary or general Kraus, each operator lowered the same way),
 //! draws each shot's uniforms up front from the RNG in the order a
 //! shot-by-shot replay consumes them, then walks the steps depth-first
 //! over groups of shots. At a branch point the group splits: by noise
@@ -26,13 +27,13 @@
 //! [`QasmSimulator`]: crate::simulator::QasmSimulator
 
 use crate::counts::Counts;
-use crate::noise::{Channel, NoiseModel, QuantumError, ReadoutError};
+use crate::noise::{Channel, NoiseModel, ReadoutError};
+use crate::parallel::Kernel;
 use crate::simulator::GateTally;
 use crate::statevector::Statevector;
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::gate::Gate;
 use qukit_terra::instruction::{Condition, Operation};
-use qukit_terra::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -50,18 +51,18 @@ struct Step<'a> {
 }
 
 enum StepOp<'a> {
-    /// A gate with its matrix (`None` for X and CX, which
-    /// [`Statevector::apply_gate`] permutes in place) and its noise
-    /// channel.
+    /// A gate lowered to its kernel, with its noise channel.
     Gate {
-        gate: Gate,
-        matrix: Option<Matrix>,
+        kernel: Kernel,
         channel: Option<Channel<'a>>,
     },
     Measure {
         clbit: usize,
     },
-    Reset,
+    /// A reset, with the X kernel that flips its qubit back to `|0⟩`.
+    Reset {
+        flip: Kernel,
+    },
 }
 
 /// A circuit resolved for shot-tree execution under a noise model.
@@ -105,18 +106,20 @@ impl<'a> Plan<'a> {
         for inst in circuit.instructions() {
             let (op, draws) = match &inst.op {
                 Operation::Gate(gate) => {
-                    let matrix = (!matches!(gate, Gate::X | Gate::CX)).then(|| gate.matrix());
+                    let kernel = Kernel::exact(&gate.matrix(), &inst.qubits);
                     let channel = noise
                         .and_then(|noise| noise.error_for(gate.name(), &inst.qubits))
                         .filter(|error| error.num_qubits() == inst.qubits.len())
-                        .map(QuantumError::channel);
+                        .map(|error| error.channel(&inst.qubits));
                     let draws = usize::from(!matches!(channel, None | Some(Channel::Fixed(_))));
-                    (StepOp::Gate { gate: *gate, matrix, channel }, draws)
+                    (StepOp::Gate { kernel, channel }, draws)
                 }
                 Operation::Measure => {
                     (StepOp::Measure { clbit: inst.clbits[0] }, 1 + usize::from(readout.is_some()))
                 }
-                Operation::Reset => (StepOp::Reset, 1),
+                Operation::Reset => {
+                    (StepOp::Reset { flip: Kernel::exact(&Gate::X.matrix(), &inst.qubits) }, 1)
+                }
                 Operation::Barrier => continue,
             };
             fixed_draws &= draws == 0 || inst.condition.is_none();
@@ -271,11 +274,8 @@ impl Walk<'_, '_, '_, '_> {
                 shots = yes;
             }
             match &s.op {
-                StepOp::Gate { gate, matrix, channel } => {
-                    match matrix {
-                        Some(matrix) => state.apply_matrix(matrix, s.qubits),
-                        None => state.apply_gate(*gate, s.qubits),
-                    }
+                StepOp::Gate { kernel, channel } => {
+                    state.apply_kernel(kernel);
                     self.tally.record(dim);
                     match channel {
                         None => {}
@@ -314,7 +314,7 @@ impl Walk<'_, '_, '_, '_> {
                         state.collapse(q, outcome, if outcome { p1 } else { 1.0 - p1 });
                     });
                 }
-                StepOp::Reset => {
+                StepOp::Reset { flip } => {
                     let q = s.qubits[0];
                     let p1 = state.probability_one(q);
                     let split = self.decide(shots, |walk, shot| {
@@ -324,7 +324,7 @@ impl Walk<'_, '_, '_, '_> {
                         let outcome = outcome == 1;
                         state.collapse(q, outcome, if outcome { p1 } else { 1.0 - p1 });
                         if outcome {
-                            state.apply_gate(Gate::X, &[q]);
+                            state.apply_kernel(flip);
                         }
                     });
                 }

@@ -2,7 +2,9 @@
 //! `aer.qasm_run` and `aer.stabilizer_run` spans carry `mode=sampled`, or
 //! `mode=trajectory` with a `reason` naming the first instruction that
 //! forced per-shot execution. A dense trajectory run also records
-//! `trajectories=<n>`, the shot-tree leaves it evolved.
+//! `trajectories=<n>`, the shot-tree leaves it evolved, and a dense
+//! sampled run `fused=<ops>/<gates> tiled=<phases>`, what fusion made of
+//! its gates and how many phases ran tile by tile.
 //!
 //! A single `#[test]` in its own binary: it toggles the process-global
 //! recorder, which would race any test sharing the process.
@@ -63,19 +65,68 @@ fn check(circuit: &QuantumCircuit, noise: Option<NoiseModel>, expected: &str) {
                 assert!((1..=8).contains(&leaves), "{span}: {leaves} leaves for 8 shots");
                 decision
             }
-            None => {
-                assert!(
-                    span != "aer.qasm_run" || expected == "mode=sampled",
-                    "{span}: trajectory run without a leaf count: '{detail}'"
-                );
-                detail.as_str()
-            }
+            None => match detail.rsplit_once(" fused=") {
+                // Dense sampled runs record what fusion and tiling did.
+                Some((decision, fused)) => {
+                    assert!(span == "aer.qasm_run" && expected == "mode=sampled");
+                    let (ops, gates, _) = parse_fused(fused);
+                    assert!((1..=gates).contains(&ops), "{span}: {ops} ops for {gates} gates");
+                    decision
+                }
+                None => {
+                    assert!(
+                        span != "aer.qasm_run",
+                        "{span}: dense run without its leaf count or fusion: '{detail}'"
+                    );
+                    detail.as_str()
+                }
+            },
         };
         assert!(
             decision.ends_with(expected),
             "{span}: expected '{expected}' at the end of '{decision}'"
         );
     }
+}
+
+/// `(ops, gates, tiled)` from the `<ops>/<gates> tiled=<phases>` that
+/// follows `fused=`.
+fn parse_fused(fused: &str) -> (usize, usize, usize) {
+    let (ratio, tiled) = fused.split_once(" tiled=").expect("tiled phases");
+    let (ops, gates) = ratio.split_once('/').expect("ops/gates");
+    let number = |text: &str| text.parse::<usize>().expect("a count");
+    (number(ops), number(gates), number(tiled))
+}
+
+/// What a sampled run of `circuit` at the default chunk size records
+/// after `fused=`, with SIMD on (the scalar kernels never tile) whatever
+/// the environment says.
+fn fused_of(circuit: &QuantumCircuit) -> (usize, usize, usize) {
+    let context = qukit_obs::TraceContext::mint();
+    {
+        let _guard = context.attach();
+        let config = ParallelConfig { simd: true, ..ParallelConfig::with_threads(1) };
+        QasmSimulator::new().with_seed(3).with_parallel(config).run(circuit, 16).expect("run");
+    }
+    let detail = detail_of("aer.qasm_run", context);
+    let (decision, fused) = detail.rsplit_once(" fused=").expect("sampled run");
+    assert!(decision.ends_with("mode=sampled"), "{detail}");
+    parse_fused(fused)
+}
+
+/// A layer of H on every qubit, a CX ladder and a measure of every qubit.
+fn ladder(n: usize) -> QuantumCircuit {
+    let mut circuit = QuantumCircuit::with_size(n, n);
+    for q in 0..n {
+        circuit.h(q).unwrap();
+    }
+    for q in 1..n {
+        circuit.cx(q - 1, q).unwrap();
+    }
+    for q in 0..n {
+        circuit.measure(q, q).unwrap();
+    }
+    circuit
 }
 
 /// The leaf count a seeded single-threaded dense run records on its
@@ -176,6 +227,14 @@ fn run_spans_record_the_sampled_or_trajectory_decision_and_its_reason() {
 
     // An ideal noise model keeps the evolve-once path.
     check(&terminal, Some(NoiseModel::new()), "mode=sampled");
+
+    // A 12-qubit state fits in one default chunk and is never tiled; a
+    // 20-qubit one outgrows it, so some of its phases run tile by tile.
+    let (ops, gates, tiled) = fused_of(&ladder(12));
+    assert_eq!((gates, tiled), (23, 0), "12 qubits: {ops} ops");
+    let (_, gates, tiled) = fused_of(&ladder(20));
+    assert_eq!(gates, 39);
+    assert!(tiled > 0, "a 20-qubit state is tiled");
 
     // A 100-qubit GHZ, past any single-word qubit mask, is evolved once:
     // each of its 100 gates is applied to one tableau, not once per shot.

@@ -755,6 +755,17 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_are_pinned() {
+        // Cache keys of stored results: a change here orphans every cached
+        // entry, so the values are pinned.
+        assert_eq!(FakeDevice::ibmqx5().with_seed(7).fingerprint(), 11_337_272_150_539_073_941);
+        let calibration = DeviceCalibration::uniform(&CouplingMap::ibm_qx4(), 0.01, 0.001, 0.97)
+            .with_cx_error((2, 1), 0.2);
+        let calibrated = FakeDevice::ibmqx4().with_calibration(&calibration).with_seed(3);
+        assert_eq!(calibrated.fingerprint(), 6_039_330_575_318_124_973);
+    }
+
+    #[test]
     fn noise_fingerprint_ignores_insertion_order() {
         let x = qukit_aer::noise::QuantumError::depolarizing(0.01, 1);
         let cx = qukit_aer::noise::QuantumError::depolarizing(0.02, 2);
