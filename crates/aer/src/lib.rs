@@ -48,7 +48,7 @@ pub use counts::Counts;
 pub use density::{DensityMatrix, DensityMatrixSimulator};
 pub use error::AerError;
 pub use noise::{NoiseModel, QuantumError, ReadoutError};
-pub use parallel::{ParallelConfig, ParallelStatevectorSimulator};
+pub use parallel::ParallelConfig;
 pub use simulator::{QasmSimulator, StatevectorSimulator, UnitarySimulator};
 pub use stabilizer::{StabilizerSimulator, StabilizerState};
 pub use statevector::Statevector;

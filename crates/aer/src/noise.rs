@@ -274,7 +274,7 @@ impl QuantumError {
     /// The channel resolved for trajectory sampling on `qubits`.
     pub(crate) fn channel(&self, qubits: &[usize]) -> Channel<'_> {
         if self.kraus.len() == 1 {
-            Channel::Fixed(Kernel::exact(&self.kraus[0], qubits))
+            Channel::Fixed(Kernel::lower(&self.kraus[0], qubits, 0, false))
         } else if let Some(branches) = &self.mixed_unitary {
             Channel::Mixed(branches.iter().map(|(p, unitary)| (*p, Branch::new(unitary))).collect())
         } else {
@@ -315,7 +315,8 @@ impl<'a> Branch<'a> {
     }
 
     fn apply(&self, state: &mut crate::statevector::Statevector, qubits: &[usize]) {
-        state.apply_kernel(self.kernel.get_or_init(|| Kernel::exact(self.matrix, qubits)));
+        state
+            .apply_kernel(self.kernel.get_or_init(|| Kernel::lower(self.matrix, qubits, 0, false)));
     }
 }
 

@@ -2,11 +2,17 @@
 //!
 //! This module is the chunked multi-threaded kernel layer behind every
 //! noiseless dense evolution: [`crate::simulator::QasmSimulator`]'s
-//! evolve-once sampled path, [`crate::simulator::StatevectorSimulator`],
-//! [`ParallelStatevectorSimulator`] and the ideal density-matrix engine.
-//! [`Statevector::apply_matrix`] and the trajectory engine run the same
-//! kernels one at a time on the calling thread (`Kernel::apply`).
+//! evolve-once sampled path, [`crate::simulator::StatevectorSimulator`]
+//! and the ideal density-matrix engine. [`Statevector::apply_matrix`] and
+//! the trajectory engine run the same kernels one at a time on the calling
+//! thread (`Kernel::apply`).
 //!
+//! * **One lowering rule** — `Kernel::lower` turns every unitary into a
+//!   kernel: a 1-qubit matrix into a classified butterfly, a wider one into
+//!   a diagonal or controlled block only when the entries that shape skips
+//!   are exactly 0 and 1 ([`qukit_terra::fusion::diagonal_of`],
+//!   [`qukit_terra::fusion::controlled_form`]), and into a dense
+//!   gather/scatter otherwise.
 //! * **Chunking** — the `2^n` amplitude array is partitioned into
 //!   cache-sized chunks of `2^chunk_qubits` entries; each gate pass is
 //!   split into independent *work units* (whole chunks for diagonal ops,
@@ -58,7 +64,7 @@ use crate::statevector::Statevector;
 use qukit_obs::rng::{mix64, GOLDEN_GAMMA};
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::complex::Complex;
-use qukit_terra::fusion::{controlled_form, fuse, FusedOp, FusedProgram, FusionConfig};
+use qukit_terra::fusion::{controlled_form, diagonal_of, fuse, FusedOp, FusedProgram};
 use qukit_terra::instruction::{Instruction, Operation};
 use qukit_terra::matrix::Matrix;
 use rand::rngs::StdRng;
@@ -157,11 +163,6 @@ impl ParallelConfig {
     /// Chunk size in amplitudes.
     pub(crate) fn chunk_len(&self) -> usize {
         1usize << self.chunk_qubits.clamp(1, 24)
-    }
-
-    /// The fusion configuration for this run.
-    pub(crate) fn fusion_config(&self) -> FusionConfig {
-        FusionConfig { enabled: self.fusion, max_qubits: 3 }
     }
 }
 
@@ -479,48 +480,51 @@ pub(crate) enum Kernel {
 }
 
 impl Kernel {
-    /// Lowers `matrix` on `qubits` (operand order = matrix bit order) to
-    /// apply it to a whole state with [`Kernel::apply`]. Unlike the
-    /// lowering of a fused program, a controlled or diagonal shape is only
-    /// taken when the entries it skips are exactly 1 and 0, so the result
-    /// equals [`qukit_terra::reference::apply_gate`]'s up to the sign of a
-    /// zero: a noise branch that is the identity to within rounding still
-    /// gets every one of its multiplies.
+    /// Lowers the unitary `matrix` on `qubits` (operand order = matrix bit
+    /// order) to a kernel over a state whose qubit `q` lives at bit
+    /// `q + shift`, with every entry conjugated when `conjugate` is set
+    /// (the density matrix's column side). This is the one lowering rule:
+    /// a 1-qubit matrix becomes a [`Butterfly`], a wider one a diagonal or
+    /// a block on the amplitudes whose control bits are set only when the
+    /// entries that shape skips are exactly 0 and 1, and a dense kernel
+    /// otherwise. The amplitudes therefore equal
+    /// [`qukit_terra::reference::apply_gate`]'s up to the sign of a zero: a
+    /// gate that is the identity only to within rounding, such as a tiny
+    /// rotation or a weak noise branch, keeps every multiply.
     ///
     /// # Panics
     ///
     /// Panics when `matrix` is not `2^k × 2^k` for `k = qubits.len() ≥ 1`,
     /// or an operand repeats.
-    pub(crate) fn exact(matrix: &Matrix, qubits: &[usize]) -> Kernel {
+    pub(crate) fn lower(
+        matrix: &Matrix,
+        qubits: &[usize],
+        shift: usize,
+        conjugate: bool,
+    ) -> Kernel {
         let dim = 1usize << qubits.len();
         assert!(!qubits.is_empty(), "a gate acts on at least one qubit");
         assert!(matrix.rows() == dim && matrix.cols() == dim, "matrix dimension mismatch");
         for (i, q) in qubits.iter().enumerate() {
             assert!(!qubits[..i].contains(q), "operand qubit {q} repeated");
         }
+        let maybe_conj = |c: Complex| if conjugate { c.conj() } else { c };
         if qubits.len() == 1 {
-            return gate_kernel(matrix, qubits, 0, false);
+            let b = Butterfly::classify(
+                [(0, 0), (0, 1), (1, 0), (1, 1)].map(|rc| maybe_conj(matrix[rc])),
+            );
+            return Kernel::OneQ { b, q: qubits[0] + shift };
         }
-        let exact_at = |r: usize, c: usize| {
-            matrix[(r, c)] == if r == c { Complex::ONE } else { Complex::ZERO }
-        };
-        if (0..dim).all(|r| (0..dim).all(|c| r == c || exact_at(r, c))) {
-            let factors = (0..dim).map(|i| matrix[(i, i)]).collect();
-            return diagonal_kernel(factors, qubits.to_vec());
+        let shifted: Vec<usize> = qubits.iter().map(|&q| q + shift).collect();
+        if let Some(factors) = diagonal_of(matrix) {
+            return diagonal_kernel(factors.into_iter().map(maybe_conj).collect(), shifted);
         }
-        for t in 0..qubits.len() {
-            // Controlled on every operand but `t`: the identity outside the
-            // 2×2 block where all the others are set.
-            let (cmask, tbit) = ((dim - 1) ^ (1 << t), 1 << t);
-            let in_block = |i: usize| i & cmask == cmask;
-            if (0..dim).all(|r| (0..dim).all(|c| (in_block(r) && in_block(c)) || exact_at(r, c))) {
-                let (lo, hi) = (cmask, cmask | tbit);
-                let block =
-                    [matrix[(lo, lo)], matrix[(lo, hi)], matrix[(hi, lo)], matrix[(hi, hi)]];
-                return controlled_kernel(t, block, qubits, 0, false);
-            }
+        if let Some((t, block)) = controlled_form(matrix) {
+            return controlled_kernel(t, block.map(maybe_conj), &shifted);
         }
-        dense_kernel(matrix, qubits, 0, false)
+        let (sorted, offsets) = dense_layout(&shifted);
+        let mat = matrix.as_slice().iter().map(|&c| maybe_conj(c)).collect();
+        Kernel::Dense { mat, qubits: shifted, sorted, offsets }
     }
 
     /// Applies this kernel to the whole of `amps` in one pass on the
@@ -799,27 +803,33 @@ impl RawAmps {
     }
 }
 
-/// Lowers a fused program into kernels over a state whose qubit `q` lives
+/// Lowers a gate stream into kernels over a state whose qubit `q` lives
 /// at bit `q + shift` (`shift`/`conjugate` support the density-matrix
-/// two-sided application). Errors on instructions a pure-state sweep
-/// cannot execute.
+/// two-sided application): the ops of the fused `program`, or with fusion
+/// off each of `gates` on its own. Errors on instructions a pure-state
+/// sweep cannot execute.
 fn lower_program(
-    program: &FusedProgram,
+    program: Option<&FusedProgram>,
+    gates: &[Instruction],
     shift: usize,
     conjugate: bool,
     kernels: &mut Vec<Kernel>,
 ) -> Result<()> {
-    let maybe_conj = |c: Complex| if conjugate { c.conj() } else { c };
+    let Some(program) = program else {
+        return gates
+            .iter()
+            .try_for_each(|inst| lower_instruction(inst, shift, conjugate, kernels));
+    };
     for op in &program.ops {
         match op {
             FusedOp::Diagonal { factors, qubits, .. } => {
                 kernels.push(diagonal_kernel(
-                    factors.iter().map(|&f| maybe_conj(f)).collect(),
+                    factors.iter().map(|&f| if conjugate { f.conj() } else { f }).collect(),
                     qubits.iter().map(|&q| q + shift).collect(),
                 ));
             }
             FusedOp::Unitary { matrix, qubits, .. } => {
-                kernels.push(gate_kernel(matrix, qubits, shift, conjugate));
+                kernels.push(Kernel::lower(matrix, qubits, shift, conjugate));
             }
             // A fusion group kept as its member gate list: lower each
             // member to its specialized kernel, in program order. The
@@ -830,66 +840,45 @@ fn lower_program(
             // conj(g₂), … on the column bits computes ρ·g₁†·g₂†… = ρU†.)
             FusedOp::Group { insts, .. } => {
                 for inst in insts {
-                    let gate = inst.as_gate().expect("fusion groups hold plain gates");
-                    kernels.push(gate_kernel(&gate.matrix(), &inst.qubits, shift, conjugate));
+                    lower_instruction(inst, shift, conjugate, kernels)?;
                 }
             }
-            FusedOp::Passthrough(inst) => match &inst.op {
-                Operation::Gate(g) if inst.condition.is_none() => {
-                    kernels.push(gate_kernel(&g.matrix(), &inst.qubits, shift, conjugate));
-                }
-                Operation::Barrier => {}
-                other => {
-                    return Err(AerError::UnsupportedInstruction {
-                        name: other.name().to_owned(),
-                        simulator: "parallel statevector kernels",
-                    })
-                }
-            },
+            FusedOp::Passthrough(inst) => lower_instruction(inst, shift, conjugate, kernels)?,
         }
     }
     Ok(())
 }
 
-/// Lowers one unitary into the best kernel shape for it: single-qubit
-/// butterfly, controlled block (skips the amplitudes the gate provably
-/// leaves fixed), or the general gather/scatter kernel.
-fn gate_kernel(matrix: &Matrix, qubits: &[usize], shift: usize, conjugate: bool) -> Kernel {
-    let maybe_conj = |c: Complex| if conjugate { c.conj() } else { c };
-    if qubits.len() == 1 {
-        return Kernel::OneQ {
-            b: Butterfly::classify([
-                maybe_conj(matrix[(0, 0)]),
-                maybe_conj(matrix[(0, 1)]),
-                maybe_conj(matrix[(1, 0)]),
-                maybe_conj(matrix[(1, 1)]),
-            ]),
-            q: qubits[0] + shift,
-        };
+/// Lowers one instruction of a gate stream: a gate to its kernel, a
+/// barrier to nothing.
+fn lower_instruction(
+    inst: &Instruction,
+    shift: usize,
+    conjugate: bool,
+    kernels: &mut Vec<Kernel>,
+) -> Result<()> {
+    match &inst.op {
+        Operation::Gate(g) if inst.condition.is_none() => {
+            kernels.push(Kernel::lower(&g.matrix(), &inst.qubits, shift, conjugate));
+        }
+        Operation::Barrier => {}
+        other => {
+            return Err(AerError::UnsupportedInstruction {
+                name: other.name().to_owned(),
+                simulator: "parallel statevector kernels",
+            })
+        }
     }
-    if let Some((t, block)) = controlled_form(matrix) {
-        return controlled_kernel(t, block, qubits, shift, conjugate);
-    }
-    dense_kernel(matrix, qubits, shift, conjugate)
+    Ok(())
 }
 
 /// The controlled kernel for `block` on operand `t`, every other operand
 /// a control.
-fn controlled_kernel(
-    t: usize,
-    block: [Complex; 4],
-    qubits: &[usize],
-    shift: usize,
-    conjugate: bool,
-) -> Kernel {
+fn controlled_kernel(t: usize, block: [Complex; 4], qubits: &[usize]) -> Kernel {
     let mut inserts: Vec<(usize, usize)> =
-        qubits.iter().enumerate().map(|(pos, &q)| (q + shift, usize::from(pos != t))).collect();
+        qubits.iter().enumerate().map(|(pos, &q)| (q, usize::from(pos != t))).collect();
     inserts.sort_unstable();
-    Kernel::Controlled {
-        b: Butterfly::classify(block.map(|c| if conjugate { c.conj() } else { c })),
-        inserts,
-        q: qubits[t] + shift,
-    }
+    Kernel::Controlled { b: Butterfly::classify(block), inserts, q: qubits[t] }
 }
 
 /// Lowers a diagonal unitary (`factors[i]` on the basis state whose
@@ -908,17 +897,10 @@ fn diagonal_kernel(factors: Vec<Complex>, qubits: Vec<usize>) -> Kernel {
             if qubits.len() == 1 {
                 return Kernel::OneQ { b: Butterfly::classify(block), q: qubits[0] };
             }
-            return controlled_kernel(t, block, &qubits, 0, false);
+            return controlled_kernel(t, block, &qubits);
         }
     }
     Kernel::Diag { factors, qubits }
-}
-
-fn dense_kernel(matrix: &Matrix, qubits: &[usize], shift: usize, conjugate: bool) -> Kernel {
-    let shifted: Vec<usize> = qubits.iter().map(|&q| q + shift).collect();
-    let (sorted, offsets) = dense_layout(&shifted);
-    let mat = matrix.as_slice().iter().map(|&c| if conjugate { c.conj() } else { c }).collect();
-    Kernel::Dense { mat, qubits: shifted, sorted, offsets }
 }
 
 /// Precomputes the traversal form of a dense kernel over `qubits` (operand
@@ -1224,7 +1206,8 @@ fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelCon
 pub(crate) struct Evolved {
     /// Source gates.
     pub(crate) gates: usize,
-    /// Operations the fusion pass turned them into.
+    /// Operations the fusion pass turned them into (the gates themselves
+    /// with fusion off).
     pub(crate) ops: usize,
     /// Phases applied tile by tile: none for a state that fits in one
     /// chunk.
@@ -1237,6 +1220,24 @@ impl std::fmt::Display for Evolved {
     }
 }
 
+/// Runs the fusion pass over `gates` when `config.fusion` is set, and
+/// records in `tally` every source gate and `entries` amplitudes per op.
+/// Returns the program (none with fusion off) and its op count.
+fn fuse_gates(
+    gates: &[Instruction],
+    config: &ParallelConfig,
+    entries: u64,
+    tally: &mut GateTally,
+) -> (Option<FusedProgram>, usize) {
+    let program = config.fusion.then(|| fuse(gates));
+    let (folded, ops) = match &program {
+        Some(program) => (program.ops.iter().map(FusedOp::gates_fused).sum(), program.ops.len()),
+        None => (gates.len(), gates.len()),
+    };
+    tally.record_n(folded as u64, entries * ops as u64);
+    (program, ops)
+}
+
 /// Fuses and applies a stream of plain gate instructions to the state,
 /// recording per-gate tallies.
 pub(crate) fn evolve_fused(
@@ -1245,15 +1246,11 @@ pub(crate) fn evolve_fused(
     config: &ParallelConfig,
     tally: &mut GateTally,
 ) -> Result<Evolved> {
-    let program = fuse(gates, &config.fusion_config());
-    let mut kernels = Vec::with_capacity(program.ops.len());
-    lower_program(&program, 0, false, &mut kernels)?;
-    let dim = amps.len() as u64;
-    for op in &program.ops {
-        tally.record_n(op.gates_fused() as u64, dim);
-    }
+    let (program, ops) = fuse_gates(gates, config, amps.len() as u64, tally);
+    let mut kernels = Vec::with_capacity(ops);
+    lower_program(program.as_ref(), gates, 0, false, &mut kernels)?;
     let tiled = apply_kernels(amps, &kernels, config);
-    Ok(Evolved { gates: gates.len(), ops: program.ops.len(), tiled })
+    Ok(Evolved { gates: gates.len(), ops, tiled })
 }
 
 /// Applies a fused program two-sidedly to a flat density matrix
@@ -1266,16 +1263,12 @@ pub(crate) fn evolve_fused_density(
     config: &ParallelConfig,
     tally: &mut GateTally,
 ) -> Result<()> {
-    let program = fuse(gates, &config.fusion_config());
-    let mut kernels = Vec::with_capacity(program.ops.len() * 2);
-    let entries = rho_flat.len() as u64;
-    for op in &program.ops {
-        tally.record_n(op.gates_fused() as u64, entries);
-    }
+    let (program, ops) = fuse_gates(gates, config, rho_flat.len() as u64, tally);
+    let mut kernels = Vec::with_capacity(ops * 2);
     // Row side: qubit q lives at bit q + n of the flat index.
-    lower_program(&program, num_qubits, false, &mut kernels)?;
+    lower_program(program.as_ref(), gates, num_qubits, false, &mut kernels)?;
     // Column side: conj(U) on bits 0..n.
-    lower_program(&program, 0, true, &mut kernels)?;
+    lower_program(program.as_ref(), gates, 0, true, &mut kernels)?;
     apply_kernels(rho_flat, &kernels, config);
     Ok(())
 }
@@ -1318,67 +1311,6 @@ pub(crate) fn sample_indices(cdf: &[f64], shots: usize, seed: u64, threads: usiz
         });
     }
     out
-}
-
-/// Exact final-state simulator for unitary circuits running the fused
-/// chunked kernels — the parallel counterpart of
-/// [`crate::simulator::StatevectorSimulator`], and the fifth engine in the
-/// conformance differential set.
-///
-/// # Examples
-///
-/// ```
-/// use qukit_aer::parallel::{ParallelConfig, ParallelStatevectorSimulator};
-/// use qukit_terra::circuit::QuantumCircuit;
-///
-/// # fn main() -> Result<(), qukit_aer::error::AerError> {
-/// let mut ghz = QuantumCircuit::new(3);
-/// ghz.h(0).unwrap();
-/// ghz.cx(0, 1).unwrap();
-/// ghz.cx(1, 2).unwrap();
-/// let sim = ParallelStatevectorSimulator::with_config(ParallelConfig::with_threads(2));
-/// let state = sim.run(&ghz)?;
-/// assert!((state.amplitude(0).norm_sqr() - 0.5).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelStatevectorSimulator {
-    config: ParallelConfig,
-}
-
-impl ParallelStatevectorSimulator {
-    /// Creates the simulator with the environment-derived configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the simulator with an explicit configuration.
-    pub fn with_config(config: ParallelConfig) -> Self {
-        Self { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ParallelConfig {
-        &self.config
-    }
-
-    /// Computes the exact final state of a unitary circuit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::simulator::StatevectorSimulator::run`].
-    pub fn run(&self, circuit: &QuantumCircuit) -> Result<Statevector> {
-        let _span = qukit_obs::span!(
-            "aer.parallel_statevector_run",
-            qubits = circuit.num_qubits(),
-            threads = self.config.threads,
-            fusion = if self.config.fusion { "on" } else { "off" },
-            simd = if self.config.simd { "on" } else { "off" },
-        );
-        qukit_obs::counter_inc("qukit_aer_parallel_runs_total");
-        evolve_unitary(circuit, &self.config, "parallel statevector simulator")
-    }
 }
 
 /// The gates of a unitary circuit (barriers dropped), ready for
@@ -1503,7 +1435,10 @@ mod tests {
                         let mut amps = vec![Complex::ZERO; 1 << n];
                         amps[0] = Complex::ONE;
                         let mut tally = GateTally::default();
-                        evolve_fused(&mut amps, &gates, &config, &mut tally).unwrap();
+                        let evolved = evolve_fused(&mut amps, &gates, &config, &mut tally).unwrap();
+                        // With fusion off every gate is an op of its own;
+                        // with it on, some gates merge.
+                        assert_eq!(evolved.ops == gates.len(), !fusion, "n={n}: {evolved}");
                         for (a, e) in amps.iter().zip(&expect) {
                             assert!(
                                 (*a - *e).norm() < 1e-10,
@@ -1514,6 +1449,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fusion_off_lowers_every_gate_as_its_own_op() {
+        let gates = vec![Instruction::gate(Gate::H, vec![0]), Instruction::gate(Gate::T, vec![0])];
+        let ops = |fusion| {
+            let config = ParallelConfig { threads: 1, chunk_qubits: 2, fusion, simd: true };
+            let mut amps = vec![Complex::ZERO; 2];
+            amps[0] = Complex::ONE;
+            let mut tally = GateTally::default();
+            evolve_fused(&mut amps, &gates, &config, &mut tally).unwrap().ops
+        };
+        assert_eq!(ops(false), 2);
+        assert_eq!(ops(true), 1);
     }
 
     #[test]
@@ -1712,7 +1661,11 @@ mod tests {
     fn simulator_rejects_measurement_and_width() {
         let mut circ = QuantumCircuit::with_size(1, 1);
         circ.measure(0, 0).unwrap();
-        assert!(ParallelStatevectorSimulator::new().run(&circ).is_err());
+        let sim =
+            crate::simulator::StatevectorSimulator::with_config(ParallelConfig::with_threads(2));
+        assert!(sim.run(&circ).is_err());
+        let wide = QuantumCircuit::new(31);
+        assert!(matches!(sim.run(&wide), Err(AerError::TooManyQubits { requested: 31, max: 30 })));
     }
 
     #[test]
@@ -1786,7 +1739,7 @@ mod tests {
                     // controlled_matrix puts each new control at bit 0.
                     let qubits: Vec<usize> =
                         controls.iter().rev().copied().chain(std::iter::once(t)).collect();
-                    let kernel = Kernel::exact(&matrix, &qubits);
+                    let kernel = Kernel::lower(&matrix, &qubits, 0, false);
                     let b = match &kernel {
                         Kernel::OneQ { b, .. } | Kernel::Controlled { b, .. } => b,
                         _ => panic!("{name}: a 2×2 block lowers to a butterfly"),
@@ -1808,7 +1761,7 @@ mod tests {
                     // another qubit, tiled at the boundary, scalar and SIMD,
                     // one and two workers: bit-identical to applying the
                     // three kernels one after another.
-                    let h = gate_kernel(&Gate::H.matrix(), &[others[2]], 0, false);
+                    let h = Kernel::lower(&Gate::H.matrix(), &[others[2]], 0, false);
                     let kernels = [kernel.clone(), h.clone(), kernel.clone()];
                     let mut sequential = start.clone();
                     for k in &kernels {
@@ -1834,39 +1787,42 @@ mod tests {
 
     #[test]
     fn lone_diagonals_lower_to_phase_blocks() {
-        let program = fuse(
-            &[
-                Instruction::gate(Gate::T, vec![3]),
-                Instruction::gate(Gate::H, vec![0]),
-                Instruction::gate(Gate::Cp(0.5), vec![1, 4]),
-                Instruction::gate(Gate::H, vec![1]),
-                Instruction::gate(Gate::Rzz(0.3), vec![2, 0]),
-            ],
-            &FusionConfig::default(),
-        );
-        let mut kernels = Vec::new();
-        lower_program(&program, 0, false, &mut kernels).unwrap();
-        let shapes: Vec<String> = kernels
-            .iter()
-            .map(|k| match k {
-                Kernel::OneQ { b, q } => format!("oneq {} q{q}", shape_of(b)),
-                Kernel::Controlled { b, q, inserts } => {
-                    format!("controlled {} q{q} {inserts:?}", shape_of(b))
-                }
-                Kernel::Diag { qubits, .. } => format!("diag {qubits:?}"),
-                Kernel::Dense { qubits, .. } => format!("dense {qubits:?}"),
-            })
-            .collect();
-        assert_eq!(
-            shapes,
-            [
-                "oneq phase, d0 = 1 q3",
-                "oneq real q0",
-                "controlled phase, d0 = 1 q1 [(1, 0), (4, 1)]",
-                "oneq real q1",
-                "diag [2, 0]",
-            ]
-        );
+        let gates = [
+            Instruction::gate(Gate::T, vec![3]),
+            Instruction::gate(Gate::H, vec![0]),
+            Instruction::gate(Gate::Cp(0.5), vec![1, 4]),
+            Instruction::gate(Gate::H, vec![1]),
+            Instruction::gate(Gate::Rzz(0.3), vec![2, 0]),
+        ];
+        // Fused or gate by gate, the one lowering rule picks the same shapes.
+        let fused = fuse(&gates);
+        for program in [Some(&fused), None] {
+            let mut kernels = Vec::new();
+            lower_program(program, &gates, 0, false, &mut kernels).unwrap();
+            let shapes: Vec<String> = kernels
+                .iter()
+                .map(|k| match k {
+                    Kernel::OneQ { b, q } => format!("oneq {} q{q}", shape_of(b)),
+                    Kernel::Controlled { b, q, inserts } => {
+                        format!("controlled {} q{q} {inserts:?}", shape_of(b))
+                    }
+                    Kernel::Diag { qubits, .. } => format!("diag {qubits:?}"),
+                    Kernel::Dense { qubits, .. } => format!("dense {qubits:?}"),
+                })
+                .collect();
+            assert_eq!(
+                shapes,
+                [
+                    "oneq phase, d0 = 1 q3",
+                    "oneq real q0",
+                    "controlled phase, d0 = 1 q1 [(1, 0), (4, 1)]",
+                    "oneq real q1",
+                    "diag [2, 0]",
+                ],
+                "fused: {}",
+                program.is_some()
+            );
+        }
     }
 
     #[test]
@@ -1931,7 +1887,7 @@ mod tests {
             gates.extend((1..n).map(|q| Instruction::gate(Gate::CX, vec![q - 1, q])));
             let config = ParallelConfig { simd: true, ..ParallelConfig::with_threads(1) };
             let mut kernels = Vec::new();
-            lower_program(&fuse(&gates, &config.fusion_config()), 0, false, &mut kernels).unwrap();
+            lower_program(Some(&fuse(&gates)), &gates, 0, false, &mut kernels).unwrap();
             plan_phases(&kernels, 1 << n, config.chunk_len(), config.simd)
         };
         let tiles = |plans: &[PhasePlan]| {

@@ -331,7 +331,10 @@ fn check_width(circuit: &QuantumCircuit) -> Result<()> {
     Ok(())
 }
 
-/// Exact statevector simulator for unitary circuits.
+/// Exact statevector simulator for unitary circuits, on the fused chunked
+/// kernels of [`crate::parallel`]. Its [`ParallelConfig`] picks threads,
+/// chunk size, fusion and SIMD; every configuration gives the same
+/// amplitudes bit for bit.
 ///
 /// # Examples
 ///
@@ -350,16 +353,41 @@ fn check_width(circuit: &QuantumCircuit) -> Result<()> {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StatevectorSimulator;
+pub struct StatevectorSimulator {
+    config: ParallelConfig,
+}
 
 impl StatevectorSimulator {
-    /// Creates the simulator.
+    /// Creates the simulator configured by [`ParallelConfig::from_env`].
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
 
-    /// Computes the exact final state of a unitary circuit on the fused
-    /// kernels, configured by [`ParallelConfig::from_env`].
+    /// Creates the simulator with an explicit kernel configuration.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qukit_aer::parallel::ParallelConfig;
+    /// use qukit_aer::simulator::StatevectorSimulator;
+    /// use qukit_terra::circuit::QuantumCircuit;
+    ///
+    /// # fn main() -> Result<(), qukit_aer::error::AerError> {
+    /// let mut ghz = QuantumCircuit::new(3);
+    /// ghz.h(0).unwrap();
+    /// ghz.cx(0, 1).unwrap();
+    /// ghz.cx(1, 2).unwrap();
+    /// let state = StatevectorSimulator::new().run(&ghz)?;
+    /// let threaded = StatevectorSimulator::with_config(ParallelConfig::with_threads(2));
+    /// assert_eq!(threaded.run(&ghz)?, state);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn with_config(config: ParallelConfig) -> Self {
+        Self { config }
+    }
+
+    /// Computes the exact final state of a unitary circuit.
     ///
     /// # Errors
     ///
@@ -367,9 +395,15 @@ impl StatevectorSimulator {
     /// or conditioned gates, and [`AerError::TooManyQubits`] for circuits
     /// beyond the dense limit.
     pub fn run(&self, circuit: &QuantumCircuit) -> Result<Statevector> {
-        let _span = qukit_obs::span!("aer.statevector_run", qubits = circuit.num_qubits());
+        let _span = qukit_obs::span!(
+            "aer.statevector_run",
+            qubits = circuit.num_qubits(),
+            threads = self.config.threads,
+            fusion = if self.config.fusion { "on" } else { "off" },
+            simd = if self.config.simd { "on" } else { "off" },
+        );
         qukit_obs::counter_inc("qukit_aer_statevector_runs_total");
-        parallel::evolve_unitary(circuit, &ParallelConfig::from_env(), "statevector simulator")
+        parallel::evolve_unitary(circuit, &self.config, "statevector simulator")
     }
 }
 
@@ -597,6 +631,19 @@ mod tests {
         for (a, b) in state.amplitudes().iter().zip(&reference) {
             assert!(a.approx_eq(*b));
         }
+
+        // An XX rotation by 4e-11 is the identity only to within rounding:
+        // it must still move -1.41e-11i onto basis states 2 and 3, which a
+        // kernel that treats near-1 and near-0 entries as exact drops. From
+        // |0…0⟩ every kernel performs the reference's operations, so the
+        // amplitudes compare equal up to the sign of a zero.
+        let mut tiny = QuantumCircuit::new(2);
+        tiny.h(0).unwrap();
+        tiny.append(Gate::Rxx(4e-11), &[0, 1]).unwrap();
+        let state = StatevectorSimulator::new().run(&tiny).unwrap();
+        let reference = qukit_terra::reference::statevector(&tiny).unwrap();
+        assert!(reference[3].im < -1e-11);
+        assert_eq!(state.amplitudes(), &reference[..]);
     }
 
     #[test]

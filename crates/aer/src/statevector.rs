@@ -79,7 +79,7 @@ impl Statevector {
     ///
     /// Panics on dimension mismatch, repeated or out-of-range qubits.
     pub fn apply_matrix(&mut self, matrix: &Matrix, qubits: &[usize]) {
-        self.apply_kernel(&Kernel::exact(matrix, qubits));
+        self.apply_kernel(&Kernel::lower(matrix, qubits, 0, false));
     }
 
     /// Applies a standard gate.

@@ -106,7 +106,7 @@ impl<'a> Plan<'a> {
         for inst in circuit.instructions() {
             let (op, draws) = match &inst.op {
                 Operation::Gate(gate) => {
-                    let kernel = Kernel::exact(&gate.matrix(), &inst.qubits);
+                    let kernel = Kernel::lower(&gate.matrix(), &inst.qubits, 0, false);
                     let channel = noise
                         .and_then(|noise| noise.error_for(gate.name(), &inst.qubits))
                         .filter(|error| error.num_qubits() == inst.qubits.len())
@@ -118,7 +118,8 @@ impl<'a> Plan<'a> {
                     (StepOp::Measure { clbit: inst.clbits[0] }, 1 + usize::from(readout.is_some()))
                 }
                 Operation::Reset => {
-                    (StepOp::Reset { flip: Kernel::exact(&Gate::X.matrix(), &inst.qubits) }, 1)
+                    let flip = Kernel::lower(&Gate::X.matrix(), &inst.qubits, 0, false);
+                    (StepOp::Reset { flip }, 1)
                 }
                 Operation::Barrier => continue,
             };

@@ -2,8 +2,9 @@
 //!
 //! For unitary circuits the runner computes its own reference state (a
 //! deliberately naive gate-by-gate matrix application) and compares it
-//! against the statevector simulator, the parallel chunked/fused
-//! statevector engine (threads forced on, fusion enabled), the
+//! against the statevector simulator in its default configuration, checks
+//! that a second statevector run split over two workers in tiny chunks
+//! with SIMD flipped matches the first bit for bit, and compares the
 //! decision-diagram simulator, the density-matrix simulator (diagonal),
 //! and — when the circuit is Clifford — a sampled run on the stabilizer
 //! tableau. For circuits with
@@ -17,7 +18,7 @@
 //! shrinks it (see `tests/planted_bug.rs`).
 
 use qukit_aer::density::DensityMatrixSimulator;
-use qukit_aer::parallel::{ParallelConfig, ParallelStatevectorSimulator};
+use qukit_aer::parallel::ParallelConfig;
 use qukit_aer::simulator::{QasmSimulator, StatevectorSimulator};
 use qukit_aer::stabilizer::{StabilizerSimulator, StabilizerState};
 use qukit_dd::simulator::DdSimulator;
@@ -158,7 +159,8 @@ impl DifferentialRunner {
     fn check_unitary(&self, circuit: &QuantumCircuit) -> Option<Mismatch> {
         let reference = self.reference_state(circuit);
 
-        let sv = match StatevectorSimulator::new().run(circuit) {
+        let config = ParallelConfig::from_env();
+        let sv = match StatevectorSimulator::with_config(config).run(circuit) {
             Ok(sv) => sv,
             Err(e) => return Some(engine_error("statevector", &e)),
         };
@@ -166,43 +168,27 @@ impl DifferentialRunner {
             return Some(m);
         }
 
-        // The parallel engine runs with threading forced on (tiny chunks so
-        // even fuzz-sized circuits split across workers) and fusion enabled,
-        // so the chunked kernels and the fusion pre-pass are both exercised
-        // against the naive reference on every fuzz case. Both kernel
-        // flavours run — SIMD and scalar — and beyond matching the
-        // reference to tolerance, they must match each other bit for bit.
-        let parallel = ParallelConfig { threads: 2, chunk_qubits: 2, fusion: true, simd: true };
-        let psv = match ParallelStatevectorSimulator::with_config(parallel).run(circuit) {
+        // The same configuration split over two workers in 4-amplitude
+        // chunks (so even fuzz-sized circuits tile) with SIMD flipped.
+        // Threads, tiles and the SIMD lanes all perform the scalar IEEE
+        // operations per amplitude, so this run must match the first bit
+        // for bit, not merely to tolerance.
+        let split = ParallelConfig { threads: 2, chunk_qubits: 2, simd: !config.simd, ..config };
+        let label = format!("statevector[threads=2, chunk_qubits=2, simd={}]", split.simd);
+        let other = match StatevectorSimulator::with_config(split).run(circuit) {
             Ok(sv) => sv,
-            Err(e) => return Some(engine_error("parallel_statevector", &e)),
+            Err(e) => return Some(engine_error(&label, &e)),
         };
-        if let Some(m) =
-            self.compare_amplitudes("parallel_statevector", &reference, psv.amplitudes())
-        {
-            return Some(m);
-        }
-
-        let scalar_config =
-            ParallelConfig { threads: 2, chunk_qubits: 2, fusion: true, simd: false };
-        let scalar = match ParallelStatevectorSimulator::with_config(scalar_config).run(circuit) {
-            Ok(sv) => sv,
-            Err(e) => return Some(engine_error("parallel_statevector_scalar", &e)),
-        };
-        if scalar.amplitudes() != psv.amplitudes() {
-            let idx = scalar
-                .amplitudes()
-                .iter()
-                .zip(psv.amplitudes())
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
+        let bits = |c: &Complex| (c.re.to_bits(), c.im.to_bits());
+        let mut pairs = sv.amplitudes().iter().zip(other.amplitudes());
+        if let Some(idx) = pairs.position(|(a, b)| bits(a) != bits(b)) {
             return Some(Mismatch {
                 oracle: "differential".to_owned(),
                 detail: format!(
-                    "parallel_statevector SIMD kernels diverge bitwise from scalar \
-                     kernels at amplitude {idx}: {} vs {}",
-                    psv.amplitudes()[idx],
-                    scalar.amplitudes()[idx]
+                    "{label} diverges bitwise from the default configuration at amplitude \
+                     {idx}: {} vs {}",
+                    other.amplitudes()[idx],
+                    sv.amplitudes()[idx]
                 ),
             });
         }

@@ -12,15 +12,18 @@
 //! * A group only grows onto a new qubit when the incoming gate shares at
 //!   least one qubit with it (locality heuristic; all-diagonal runs are
 //!   exempt, since diagonal factors combine index-wise), and never beyond
-//!   [`FusionConfig::max_qubits`] operands.
+//!   [`MAX_FUSED_QUBITS`] operands.
 //! * A gate is only merged when the flop-cost model says the combined
 //!   dense sweep is no more expensive than running the gates through the
 //!   engines' specialized kernels (diagonal / butterfly / controlled-block)
 //!   individually — fusing a lone CX into an 8×8 matrix is a pessimization,
 //!   not an optimization.
-//! * Fused matrices whose off-diagonal entries are all zero are emitted as
-//!   [`FusedOp::Diagonal`] so engines can apply them in a single
-//!   multiply-per-amplitude sweep.
+//! * Fused matrices whose off-diagonal entries are all exactly zero are
+//!   emitted as [`FusedOp::Diagonal`] so engines can apply them in a single
+//!   multiply-per-amplitude sweep. Shapes are classified by exact 0 and 1
+//!   entries ([`diagonal_of`], [`controlled_form`]), the same rule the
+//!   engines lower kernels by, so a gate that is the identity only to
+//!   within rounding (a tiny rotation) keeps all of its arithmetic.
 //! * A non-diagonal group whose members are individually cheaper than the
 //!   merged dense sweep is emitted as [`FusedOp::Group`] — the member gate
 //!   list kept in program order — so engines apply the members back to back
@@ -32,21 +35,9 @@ use crate::instruction::Instruction;
 use crate::matrix::Matrix;
 use crate::reference;
 
-/// Configuration for the fusion pre-pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FusionConfig {
-    /// When `false`, [`fuse`] passes every instruction through unchanged.
-    pub enabled: bool,
-    /// Maximum number of qubit operands a fused group may span (default 3,
-    /// i.e. fused unitaries are at most 8×8).
-    pub max_qubits: usize,
-}
-
-impl Default for FusionConfig {
-    fn default() -> Self {
-        Self { enabled: true, max_qubits: 3 }
-    }
-}
+/// Maximum number of qubit operands a fused group may span: fused
+/// unitaries are at most 8×8.
+pub const MAX_FUSED_QUBITS: usize = 3;
 
 /// One operation of a fused program.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,13 +92,7 @@ pub struct FusedProgram {
 }
 
 /// Runs the fusion pre-pass over an instruction stream.
-pub fn fuse(instructions: &[Instruction], config: &FusionConfig) -> FusedProgram {
-    if !config.enabled {
-        let ops = instructions.iter().cloned().map(FusedOp::Passthrough).collect();
-        return FusedProgram { ops, stats: FusionStats::default() };
-    }
-
-    let max_qubits = config.max_qubits.max(1);
+pub fn fuse(instructions: &[Instruction]) -> FusedProgram {
     let mut out = Fuser { ops: Vec::new(), stats: FusionStats::default() };
     // Pending contiguous run of plain gates, the union of their qubits in
     // first-appearance order, and whether every gate so far is diagonal.
@@ -126,7 +111,7 @@ pub fn fuse(instructions: &[Instruction], config: &FusionConfig) -> FusedProgram
         let fresh: Vec<usize> =
             inst.qubits.iter().copied().filter(|q| !group_qubits.contains(q)).collect();
         let overlaps = fresh.len() < inst.qubits.len();
-        let fits = group_qubits.len() + fresh.len() <= max_qubits;
+        let fits = group_qubits.len() + fresh.len() <= MAX_FUSED_QUBITS;
         let profitable = pending.is_empty()
             || merged_cost(group_qubits.len() + fresh.len(), group_diagonal && gate.is_diagonal())
                 <= group_cost(&pending, group_qubits.len(), group_diagonal)
@@ -139,28 +124,17 @@ pub fn fuse(instructions: &[Instruction], config: &FusionConfig) -> FusedProgram
         // locality rule: diagonal factors combine index-wise, so disjoint
         // diagonal gates still share one sweep.
         let local = overlaps || fresh.is_empty() || (group_diagonal && gate.is_diagonal());
+        // A gate that starts a group is at most MAX_FUSED_QUBITS wide (no
+        // standard gate is wider), and nothing merges onto a full group.
         if pending.is_empty() || (fits && local && profitable) {
             group_qubits.extend(fresh);
-            if group_qubits.len() > max_qubits {
-                // Lone gate wider than the fusion limit: pass it through.
-                debug_assert!(pending.is_empty());
-                group_qubits.clear();
-                group_diagonal = true;
-                out.ops.push(FusedOp::Passthrough(inst.clone()));
-                continue;
-            }
             group_diagonal &= gate.is_diagonal();
             pending.push(inst.clone());
         } else {
             out.flush(&mut pending, &mut group_qubits);
-            if inst.qubits.len() > max_qubits {
-                group_diagonal = true;
-                out.ops.push(FusedOp::Passthrough(inst.clone()));
-            } else {
-                group_diagonal = gate.is_diagonal();
-                group_qubits.extend(inst.qubits.iter().copied());
-                pending.push(inst.clone());
-            }
+            group_diagonal = gate.is_diagonal();
+            group_qubits.extend(inst.qubits.iter().copied());
+            pending.push(inst.clone());
         }
     }
     out.flush(&mut pending, &mut group_qubits);
@@ -227,8 +201,11 @@ fn merged_cost(width: usize, diagonal: bool) -> f64 {
 /// Detects controlled-block structure: returns `(target, block)` when the
 /// unitary acts as the 2×2 `block` on matrix bit `target` exactly when
 /// every other matrix bit is 1, and as the identity otherwise — the shape
-/// of CX, CCX, and every controlled-U in the computational basis. Engines
-/// use this to skip the amplitudes the gate provably leaves untouched.
+/// of CX, CCX, and every controlled-U in the computational basis. The
+/// identity part must hold exactly 1 on its diagonal and exactly 0 off it,
+/// so engines that skip those amplitudes drop only `1·a` and `0·b` terms:
+/// a rotation by 4e-11 is not controlled. Lowest target first; 1-qubit
+/// matrices are never reported.
 pub fn controlled_form(matrix: &Matrix) -> Option<(usize, [Complex; 4])> {
     let dim = matrix.rows();
     if dim < 4 || matrix.cols() != dim || !dim.is_power_of_two() {
@@ -243,9 +220,7 @@ pub fn controlled_form(matrix: &Matrix) -> Option<(usize, [Complex; 4])> {
                 if (r & cmask) == cmask && (c & cmask) == cmask {
                     continue; // part of the controlled 2×2 block
                 }
-                let v = matrix[(r, c)];
-                let identity = if r == c { v.is_approx_one() } else { v.is_approx_zero() };
-                if !identity {
+                if matrix[(r, c)] != if r == c { Complex::ONE } else { Complex::ZERO } {
                     continue 'targets;
                 }
             }
@@ -350,13 +325,12 @@ fn compose(insts: &[Instruction], qubits: &[usize]) -> Matrix {
     Matrix::from_vec(dim, dim, data)
 }
 
-/// Returns the diagonal when every off-diagonal entry is (exactly, up to
-/// [`Complex::EPSILON`]) zero.
-fn diagonal_of(matrix: &Matrix) -> Option<Vec<Complex>> {
+/// Returns the diagonal when every off-diagonal entry is exactly zero.
+pub fn diagonal_of(matrix: &Matrix) -> Option<Vec<Complex>> {
     let dim = matrix.rows();
     for r in 0..dim {
         for c in 0..dim {
-            if r != c && !matrix[(r, c)].is_approx_zero() {
+            if r != c && matrix[(r, c)] != Complex::ZERO {
                 return None;
             }
         }
@@ -373,8 +347,7 @@ mod tests {
 
     fn fused_matrix_matches(instructions: &[Instruction], n: usize) {
         use rand::{rngs::StdRng, SeedableRng};
-        let config = FusionConfig::default();
-        let program = fuse(instructions, &config);
+        let program = fuse(instructions);
         let mut rng = StdRng::seed_from_u64(11);
         let initial = reference::random_state(n, &mut rng);
         let mut expect = initial.clone();
@@ -436,7 +409,7 @@ mod tests {
             Instruction::gate(Gate::Cp(0.3), vec![0, 1]),
             Instruction::gate(Gate::Rzz(0.7), vec![1, 2]),
         ];
-        let program = fuse(&insts, &FusionConfig::default());
+        let program = fuse(&insts);
         assert_eq!(program.ops.len(), 1);
         assert!(matches!(&program.ops[0], FusedOp::Diagonal { gates_fused: 3, .. }));
         fused_matrix_matches(&insts, 3);
@@ -456,7 +429,7 @@ mod tests {
             Instruction::gate(Gate::H, vec![0]),
             Instruction::reset(0),
         ];
-        let program = fuse(&insts, &FusionConfig::default());
+        let program = fuse(&insts);
         // h+t fuse; everything after the barrier stays unfused because each
         // run is length one or blocked.
         assert_eq!(program.stats.groups, 1);
@@ -473,7 +446,7 @@ mod tests {
             Instruction::gate(Gate::H, vec![5]),
             Instruction::gate(Gate::H, vec![9]),
         ];
-        let program = fuse(&insts, &FusionConfig::default());
+        let program = fuse(&insts);
         assert_eq!(program.stats.groups, 0);
         assert_eq!(program.ops.len(), 3);
     }
@@ -484,7 +457,7 @@ mod tests {
         for q in 0..5 {
             circ.cx(q, q + 1).unwrap();
         }
-        let program = fuse(circ.instructions(), &FusionConfig::default());
+        let program = fuse(circ.instructions());
         for op in &program.ops {
             let width = match op {
                 FusedOp::Unitary { qubits, .. }
@@ -492,25 +465,34 @@ mod tests {
                 | FusedOp::Group { qubits, .. } => qubits.len(),
                 FusedOp::Passthrough(inst) => inst.qubits.len(),
             };
-            assert!(width <= 3);
+            assert!(width <= MAX_FUSED_QUBITS);
         }
         fused_matrix_matches(circ.instructions(), 6);
     }
 
     #[test]
-    fn disabled_config_passes_everything_through() {
-        let insts = vec![Instruction::gate(Gate::H, vec![0]), Instruction::gate(Gate::T, vec![0])];
-        let program = fuse(&insts, &FusionConfig { enabled: false, max_qubits: 3 });
+    fn wide_gate_passes_through() {
+        // A CCX spans all MAX_FUSED_QUBITS operands: a gate on a fourth
+        // qubit cannot join it, and the lone CCX keeps its own kernel.
+        let insts =
+            vec![Instruction::gate(Gate::Ccx, vec![0, 1, 2]), Instruction::gate(Gate::H, vec![3])];
+        let program = fuse(&insts);
         assert_eq!(program.ops.len(), 2);
         assert!(program.ops.iter().all(|op| matches!(op, FusedOp::Passthrough(_))));
-    }
 
-    #[test]
-    fn wide_gate_passes_through() {
-        let insts = vec![Instruction::gate(Gate::Ccx, vec![0, 1, 2])];
-        let program = fuse(&insts, &FusionConfig { enabled: true, max_qubits: 2 });
-        assert_eq!(program.ops.len(), 1);
-        assert!(matches!(&program.ops[0], FusedOp::Passthrough(_)));
+        // Diagonal gates merge without sharing a qubit, so only the width
+        // limit splits a run of them over four qubits.
+        let insts: Vec<Instruction> = (0..4).map(|q| Instruction::gate(Gate::T, vec![q])).collect();
+        let widths: Vec<usize> = fuse(&insts)
+            .ops
+            .iter()
+            .map(|op| match op {
+                FusedOp::Diagonal { qubits, .. } => qubits.len(),
+                other => panic!("expected diagonal ops, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(widths, [MAX_FUSED_QUBITS, 1]);
+        fused_matrix_matches(&insts, 4);
     }
 
     #[test]
@@ -518,19 +500,27 @@ mod tests {
         // CX: control is matrix bit 0, so the target/block is bit 1.
         let (t, block) = controlled_form(&Gate::CX.matrix()).expect("cx is controlled");
         assert_eq!(t, 1);
-        assert!(block[0].is_approx_zero() && block[3].is_approx_zero());
-        assert!(block[1].is_approx_one() && block[2].is_approx_one());
+        assert_eq!(block, [Complex::ZERO, Complex::ONE, Complex::ONE, Complex::ZERO]);
 
         // CCX: two controls (bits 0,1), X block on bit 2.
         let (t, block) = controlled_form(&Gate::Ccx.matrix()).expect("ccx is controlled");
         assert_eq!(t, 2);
-        assert!(block[1].is_approx_one() && block[2].is_approx_one());
+        assert_eq!(block[1], Complex::ONE);
+        assert_eq!(block[2], Complex::ONE);
 
         // Controlled rotations keep their base block.
         let (t, block) = controlled_form(&Gate::Crx(0.7).matrix()).expect("crx is controlled");
         assert_eq!(t, 1);
         let base = Gate::Rx(0.7).matrix();
         assert!(block[0].approx_eq(base[(0, 0)]) && block[1].approx_eq(base[(0, 1)]));
+
+        // The identity part must be exact: an XX rotation by 4e-11 has
+        // cos = 1.0 on its diagonal but ±2e-11i off it, so it is neither
+        // controlled nor diagonal.
+        let tiny = Gate::Rxx(4e-11).matrix();
+        assert!(controlled_form(&tiny).is_none());
+        assert!(diagonal_of(&tiny).is_none());
+        assert!(diagonal_of(&Gate::Rzz(4e-11).matrix()).is_some());
 
         // Swap moves amplitude between non-block entries: not controlled.
         assert!(controlled_form(&Gate::Swap.matrix()).is_none());
@@ -545,7 +535,7 @@ mod tests {
         // sweep (cost 6) — so the group must stay a gate list.
         let insts =
             vec![Instruction::gate(Gate::Swap, vec![0, 1]), Instruction::gate(Gate::T, vec![0])];
-        let program = fuse(&insts, &FusionConfig::default());
+        let program = fuse(&insts);
         assert_eq!(program.stats.groups, 1);
         assert_eq!(program.stats.gates_merged, 2);
         assert_eq!(program.ops.len(), 1);
@@ -566,7 +556,7 @@ mod tests {
         // an 8x8 dense block: the controlled kernel is far cheaper.
         let insts =
             vec![Instruction::gate(Gate::CX, vec![0, 1]), Instruction::gate(Gate::CX, vec![1, 2])];
-        let program = fuse(&insts, &FusionConfig::default());
+        let program = fuse(&insts);
         assert_eq!(program.stats.groups, 0, "cx chain must stay unfused");
         assert_eq!(program.ops.len(), 2);
         fused_matrix_matches(&insts, 3);
@@ -577,7 +567,7 @@ mod tests {
             Instruction::gate(Gate::Rx(0.3), vec![0]),
             Instruction::gate(Gate::H, vec![0]),
         ];
-        let program = fuse(&run, &FusionConfig::default());
+        let program = fuse(&run);
         assert_eq!(program.stats.groups, 1);
         assert_eq!(program.stats.gates_merged, 3);
         fused_matrix_matches(&run, 1);

@@ -5,7 +5,7 @@
 //! independently of any simulator.
 
 use qukit::aer::density::DensityMatrixSimulator;
-use qukit::aer::parallel::{ParallelConfig, ParallelStatevectorSimulator};
+use qukit::aer::parallel::ParallelConfig;
 use qukit::aer::simulator::{QasmSimulator, StatevectorSimulator};
 use qukit::aer::stabilizer::StabilizerSimulator;
 use qukit::dd::simulator::DdSimulator;
@@ -79,7 +79,7 @@ fn check_unitary_golden(circuit: &QuantumCircuit, expected: &[Complex]) {
     assert_amplitudes("statevector", expected, sv.amplitudes());
 
     for (i, config) in parallel_configs().into_iter().enumerate() {
-        let psv = ParallelStatevectorSimulator::with_config(config).run(circuit).expect("parallel");
+        let psv = StatevectorSimulator::with_config(config).run(circuit).expect("parallel");
         assert_amplitudes(&format!("parallel[{i}]"), expected, psv.amplitudes());
     }
 

@@ -2,14 +2,13 @@
 //! execution layer ships.
 //!
 //! 200 seeded random circuits from the conformance generator run on the
-//! serial statevector simulator (the legacy path, untouched by the
-//! parallel layer) and on the chunked/fused parallel engine at every
+//! statevector simulator in its default configuration and again at every
 //! combination of threads ∈ {1, 2, 4} × fusion on/off × SIMD on/off.
 //! Chunks are forced tiny (`chunk_qubits: 2`) so even 2-qubit circuits
 //! split across workers. Every amplitude must agree to 1e-10, and the
 //! SIMD kernels must agree with the scalar kernels bit for bit.
 
-use qukit::aer::parallel::{ParallelConfig, ParallelStatevectorSimulator};
+use qukit::aer::parallel::ParallelConfig;
 use qukit::aer::simulator::StatevectorSimulator;
 use qukit_conformance::{CircuitGenerator, GateSet, GeneratorConfig};
 
@@ -35,10 +34,10 @@ fn parallel_and_fused_kernels_match_serial_on_200_random_circuits() {
     let mut generator = generator(42);
     for case in 0..CASES {
         let circuit = generator.next_circuit();
-        let serial = StatevectorSimulator::new().run(&circuit).expect("serial run");
+        let default = StatevectorSimulator::new().run(&circuit).expect("default run");
         for threads in [1, 2, 4] {
             for fusion in [false, true] {
-                let scalar = ParallelStatevectorSimulator::with_config(ParallelConfig {
+                let scalar = StatevectorSimulator::with_config(ParallelConfig {
                     threads,
                     chunk_qubits: 2,
                     fusion,
@@ -46,7 +45,7 @@ fn parallel_and_fused_kernels_match_serial_on_200_random_circuits() {
                 })
                 .run(&circuit)
                 .expect("parallel run (scalar)");
-                let simd = ParallelStatevectorSimulator::with_config(ParallelConfig {
+                let simd = StatevectorSimulator::with_config(ParallelConfig {
                     threads,
                     chunk_qubits: 2,
                     fusion,
@@ -54,8 +53,9 @@ fn parallel_and_fused_kernels_match_serial_on_200_random_circuits() {
                 })
                 .run(&circuit)
                 .expect("parallel run (simd)");
-                assert_eq!(serial.num_qubits(), scalar.num_qubits());
-                for (idx, (s, p)) in serial.amplitudes().iter().zip(scalar.amplitudes()).enumerate()
+                assert_eq!(default.num_qubits(), scalar.num_qubits());
+                for (idx, (s, p)) in
+                    default.amplitudes().iter().zip(scalar.amplitudes()).enumerate()
                 {
                     let err = (*s - *p).norm();
                     assert!(
