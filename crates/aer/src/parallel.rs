@@ -31,7 +31,9 @@
 //!   its own pair into one vector); the lane formulas perform exactly
 //!   the scalar IEEE-754 operations per element, so `QUKIT_SIMD=off`
 //!   (the scalar fallback, also [`ParallelConfig::simd`] = false) is
-//!   *bit-identical*, not merely close.
+//!   *bit-identical*, not merely close. The kernel body is compiled for
+//!   the baseline ISA and again with AVX2 enabled (no FMA), and
+//!   `Kernel::apply_unit` runs the AVX2 build on hosts that have it.
 //! * **Cache-blocked phases** — consecutive kernels whose qubit-bit union
 //!   fits in one chunk are applied tile-by-tile: each cache-resident tile
 //!   (a contiguous slice, or a gathered strided block when high qubit
@@ -57,7 +59,8 @@
 
 use crate::error::{AerError, Result};
 use crate::simd::{
-    complex_mul2, complex_mul_lanes, neg_im_pair, neg_im_vec, re_pair, simd_default, F64x4,
+    complex_mul2, complex_mul_lanes, lane_isa, neg_im_pair, neg_im_vec, re_pair, simd_default,
+    F64x4,
 };
 use crate::simulator::GateTally;
 use crate::statevector::Statevector;
@@ -260,6 +263,7 @@ impl Butterfly {
     /// Same contract as [`Kernel::apply_unit`]: the `(lo, hi)` index sets
     /// produced for distinct `p` are disjoint and in-bounds.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     unsafe fn sweep(
         &self,
         amps: &RawAmps,
@@ -390,12 +394,20 @@ impl<E: Fn(usize) -> usize> PairSweep<'_, E> {
             amps.write(lo, na);
             amps.write(hi, nb);
         };
+        // Plain `for` loops rather than `for_each`, whose out-of-line
+        // `fold` would not inherit the AVX2 build's target features.
         match self.lanes {
-            Lanes::Scalar => (self.start..self.end).for_each(|p| one((self.expand)(p))),
-            Lanes::InPair => (self.start..self.end).for_each(|p| {
-                let lo = (self.expand)(p);
-                amps.store2(lo, in_pair(amps.load2(lo)));
-            }),
+            Lanes::Scalar => {
+                for p in self.start..self.end {
+                    one((self.expand)(p));
+                }
+            }
+            Lanes::InPair => {
+                for p in self.start..self.end {
+                    let lo = (self.expand)(p);
+                    amps.store2(lo, in_pair(amps.load2(lo)));
+                }
+            }
             Lanes::TwoPairs => self.runs(
                 |lo| {
                     let hi = lo | stride;
@@ -424,7 +436,9 @@ impl<E: Fn(usize) -> usize> PairSweep<'_, E> {
         };
         match self.lanes {
             Lanes::Scalar | Lanes::InPair => {
-                (self.start..self.end).for_each(|p| one((self.expand)(p)))
+                for p in self.start..self.end {
+                    one((self.expand)(p));
+                }
             }
             Lanes::TwoPairs => self.runs(
                 |lo| {
@@ -475,8 +489,15 @@ pub(crate) enum Kernel {
     /// Dense k-qubit unitary via gather/scatter over base indices.
     /// `qubits` keeps the operand order matching the matrix's bit order
     /// (needed to re-derive `offsets` when the kernel is remapped into a
-    /// cache tile); `sorted`/`offsets` are the precomputed traversal form.
-    Dense { mat: Vec<Complex>, qubits: Vec<usize>, sorted: Vec<usize>, offsets: Vec<usize> },
+    /// cache tile); `mask`/`offsets` are the precomputed traversal form,
+    /// and `lanes` the matrix's lane weights (see [`dense_lanes`]).
+    Dense {
+        mat: Vec<Complex>,
+        lanes: Vec<F64x4>,
+        qubits: Vec<usize>,
+        mask: usize,
+        offsets: Vec<usize>,
+    },
 }
 
 impl Kernel {
@@ -522,9 +543,10 @@ impl Kernel {
         if let Some((t, block)) = controlled_form(matrix) {
             return controlled_kernel(t, block.map(maybe_conj), &shifted);
         }
-        let (sorted, offsets) = dense_layout(&shifted);
-        let mat = matrix.as_slice().iter().map(|&c| maybe_conj(c)).collect();
-        Kernel::Dense { mat, qubits: shifted, sorted, offsets }
+        let (mask, offsets) = dense_layout(&shifted);
+        let mat: Vec<Complex> = matrix.as_slice().iter().map(|&c| maybe_conj(c)).collect();
+        let lanes = dense_lanes(&mat, dim);
+        Kernel::Dense { mat, lanes, qubits: shifted, mask, offsets }
     }
 
     /// Applies this kernel to the whole of `amps` in one pass on the
@@ -538,28 +560,21 @@ impl Kernel {
         let len = amps.len();
         assert!(len.is_power_of_two() && self.bits() < len, "operand qubit out of range");
         let raw = RawAmps { ptr: amps.as_mut_ptr() };
-        let mut scratch = [Complex::ZERO; 8];
-        let mut wide = Vec::new();
-        // Only the dense kernel gathers into the scratch block.
-        let dim = if matches!(self, Kernel::Dense { .. }) { self.dim() } else { 0 };
-        let scratch = if dim <= scratch.len() {
-            &mut scratch[..]
-        } else {
-            wide.resize(dim, Complex::ZERO);
-            &mut wide[..]
-        };
+        let mut scratch = vec![Complex::ZERO; self.scratch_len()];
         // SAFETY: `amps` is exclusively borrowed and holds `len`
         // amplitudes; every bit the kernel touches lies below `len`
         // (checked above), and with `chunk_len == len` unit 0 is the whole
         // state, applied once on this thread.
-        unsafe { self.apply_unit(&raw, len, len, 0, simd, scratch) };
+        unsafe { self.apply_unit(&raw, len, len, 0, simd, &mut scratch) };
     }
 
-    fn dim(&self) -> usize {
+    /// Length of the gather buffer [`Kernel::apply_unit`] needs: dense
+    /// blocks of two and three qubits gather into fixed-size arrays, wider
+    /// ones into the buffer, and no other kernel gathers.
+    fn scratch_len(&self) -> usize {
         match self {
-            Kernel::OneQ { .. } | Kernel::Controlled { .. } => 2,
-            Kernel::Diag { factors, .. } => factors.len(),
-            Kernel::Dense { offsets, .. } => offsets.len(),
+            Kernel::Dense { offsets, .. } if offsets.len() > 8 => offsets.len(),
+            _ => 0,
         }
     }
 
@@ -578,7 +593,7 @@ impl Kernel {
 
     /// Rewrites every qubit-bit index through `pos` (global bit → position
     /// inside a cache tile). `pos` is strictly monotonic over the bits this
-    /// kernel uses, so sorted invariants (`inserts`, `sorted`) survive.
+    /// kernel uses, so the sorted `inserts` stay sorted.
     fn remap(&self, pos: &dyn Fn(usize) -> usize) -> Kernel {
         match self {
             Kernel::OneQ { b, q } => Kernel::OneQ { b: b.clone(), q: pos(*q) },
@@ -591,10 +606,16 @@ impl Kernel {
                 factors: factors.clone(),
                 qubits: qubits.iter().map(|&q| pos(q)).collect(),
             },
-            Kernel::Dense { mat, qubits, .. } => {
+            Kernel::Dense { mat, lanes, qubits, .. } => {
                 let local: Vec<usize> = qubits.iter().map(|&q| pos(q)).collect();
-                let (sorted, offsets) = dense_layout(&local);
-                Kernel::Dense { mat: mat.clone(), qubits: local, sorted, offsets }
+                let (mask, offsets) = dense_layout(&local);
+                Kernel::Dense {
+                    mat: mat.clone(),
+                    lanes: lanes.clone(),
+                    qubits: local,
+                    mask,
+                    offsets,
+                }
             }
         }
     }
@@ -627,7 +648,58 @@ impl Kernel {
     /// [`apply_kernels`]). Distinct units of one kernel touch disjoint
     /// index sets: unit ranges partition the pair/base/index space, and the
     /// bit-insertion expansion of a base index is injective.
+    ///
+    /// This is where the lane ISA is chosen: with `simd` set on an x86-64
+    /// host that has AVX2, the unit runs in [`Kernel::apply_unit_avx2`],
+    /// otherwise in the baseline build of the same body. Both builds
+    /// perform the same IEEE-754 operations, so they agree bit for bit.
     unsafe fn apply_unit(
+        &self,
+        amps: &RawAmps,
+        len: usize,
+        chunk_len: usize,
+        unit: usize,
+        simd: bool,
+        scratch: &mut [Complex],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if simd && crate::simd::avx2() {
+            // SAFETY: the host supports AVX2 (just detected), and the
+            // caller upholds this function's contract, which is the
+            // AVX2 build's other requirement.
+            return self.apply_unit_avx2(amps, len, chunk_len, unit, scratch);
+        }
+        self.apply_unit_body(amps, len, chunk_len, unit, simd, scratch)
+    }
+
+    /// The lane body of [`Kernel::apply_unit`] compiled with AVX2 enabled,
+    /// so each [`F64x4`] op is one 256-bit instruction rather than two
+    /// 128-bit ones. FMA stays off: a fused multiply-add rounds once and
+    /// would break bit-identity with the scalar oracle.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Kernel::apply_unit`], and the host must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn apply_unit_avx2(
+        &self,
+        amps: &RawAmps,
+        len: usize,
+        chunk_len: usize,
+        unit: usize,
+        scratch: &mut [Complex],
+    ) {
+        self.apply_unit_body(amps, len, chunk_len, unit, true, scratch)
+    }
+
+    /// The body of [`Kernel::apply_unit`], inlined into each ISA build.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Kernel::apply_unit`].
+    #[inline(always)]
+    unsafe fn apply_unit_body(
         &self,
         amps: &RawAmps,
         len: usize,
@@ -711,55 +783,110 @@ impl Kernel {
                     idx = run_end;
                 }
             }
-            Kernel::Dense { mat, sorted, offsets, .. } => {
-                let dim = offsets.len();
-                let k = dim.trailing_zeros() as usize;
-                let bases = len >> k;
+            Kernel::Dense { mat, lanes, mask, offsets, .. } => {
+                let k = offsets.len().trailing_zeros() as usize;
                 let unit_len = (chunk_len >> k).max(1);
                 let start = unit * unit_len;
-                let end = (start + unit_len).min(bases);
-                for b in start..end {
-                    let mut base = b;
-                    for &q in sorted {
-                        let low = base & ((1usize << q) - 1);
-                        base = ((base >> q) << (q + 1)) | low;
-                    }
-                    for (j, slot) in scratch[..dim].iter_mut().enumerate() {
-                        *slot = amps.read(base | offsets[j]);
-                    }
-                    if simd {
-                        // Two output rows share one pass over the gathered
-                        // column; per-row accumulation order matches the
-                        // scalar loop exactly (`dim` is even: k ≥ 2).
-                        let mut j = 0;
-                        while j + 2 <= dim {
-                            let r0 = &mat[j * dim..(j + 1) * dim];
-                            let r1 = &mat[(j + 1) * dim..(j + 2) * dim];
-                            let mut acc = F64x4([0.0; 4]);
-                            for (c, amp) in scratch[..dim].iter().enumerate() {
-                                let (m0, m1) = (r0[c], r1[c]);
-                                let s = F64x4([amp.re, amp.im, amp.re, amp.im]);
-                                let re = F64x4([m0.re, m0.re, m1.re, m1.re]);
-                                let im = F64x4([-m0.im, m0.im, -m1.im, m1.im]);
-                                acc = acc.add(s.mul(re).add(s.swap_pairs().mul(im)));
-                            }
-                            amps.write(base | offsets[j], Complex::new(acc.0[0], acc.0[1]));
-                            amps.write(base | offsets[j + 1], Complex::new(acc.0[2], acc.0[3]));
-                            j += 2;
-                        }
-                    } else {
-                        for (j, &offset) in offsets.iter().enumerate() {
-                            let mut acc = Complex::ZERO;
-                            let row = &mat[j * dim..(j + 1) * dim];
-                            for (value, amp) in row.iter().zip(scratch[..dim].iter()) {
-                                acc += *value * *amp;
-                            }
-                            amps.write(base | offset, acc);
-                        }
-                    }
+                let bases = start..(start + unit_len).min(len >> k);
+                let mask = *mask;
+                match offsets.len() {
+                    4 => dense_blocks::<4>(amps, mat, lanes, offsets, mask, bases, simd, scratch),
+                    8 => dense_blocks::<8>(amps, mat, lanes, offsets, mask, bases, simd, scratch),
+                    _ => dense_blocks::<0>(amps, mat, lanes, offsets, mask, bases, simd, scratch),
                 }
             }
         }
+    }
+}
+
+/// Inserts a 0 at each set bit of `mask`, lowest first: the `index`-th
+/// integer, counting up from 0, whose `mask` bits are all clear.
+#[inline(always)]
+fn insert_zeros(index: usize, mask: usize) -> usize {
+    let mut out = index;
+    let mut bits = mask;
+    while bits != 0 {
+        let low = bits & bits.wrapping_neg();
+        out = ((out & !(low - 1)) << 1) | (out & (low - 1));
+        bits &= bits - 1;
+    }
+    out
+}
+
+/// The lane weights of the dense `dim × dim` matrix `mat` (row-major):
+/// for each pair of rows `(r0, r1)` and each column `c`, the `re` and `im`
+/// weights of [`complex_mul_lanes`] that multiply one amplitude by both
+/// `r0[c]` and `r1[c]`.
+fn dense_lanes(mat: &[Complex], dim: usize) -> Vec<F64x4> {
+    let mut lanes = Vec::with_capacity(mat.len());
+    for rows in mat.chunks_exact(2 * dim) {
+        let (r0, r1) = rows.split_at(dim);
+        for (&m0, &m1) in r0.iter().zip(r1) {
+            lanes.push(re_pair(m0, m1));
+            lanes.push(neg_im_pair(m0, m1));
+        }
+    }
+    lanes
+}
+
+/// Applies the dense `dim × dim` matrix `mat` (row-major, `dim =
+/// offsets.len()`, lane weights `lanes`) to each block of amplitudes
+/// `base | offsets[j]`, for the bases numbered `bases` among the indices
+/// with every `mask` bit clear.
+///
+/// A block of width `D` gathers into a fixed-size array, so the gather
+/// and row loops have constant bounds; `D = 0` gathers a block of any
+/// width into `scratch`.
+///
+/// # Safety
+///
+/// As for [`Kernel::apply_unit`]: the blocks of distinct bases are
+/// disjoint and in bounds.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn dense_blocks<const D: usize>(
+    amps: &RawAmps,
+    mat: &[Complex],
+    lanes: &[F64x4],
+    offsets: &[usize],
+    mask: usize,
+    bases: Range<usize>,
+    simd: bool,
+    scratch: &mut [Complex],
+) {
+    let dim = if D == 0 { offsets.len() } else { D };
+    let (mat, lanes, offsets) = (&mat[..dim * dim], &lanes[..dim * dim], &offsets[..dim]);
+    let mut block = [Complex::ZERO; D];
+    let col = if D == 0 { &mut scratch[..dim] } else { &mut block[..] };
+    let mut base = insert_zeros(bases.start, mask);
+    for _ in bases {
+        for (slot, &offset) in col.iter_mut().zip(offsets) {
+            *slot = amps.read(base | offset);
+        }
+        if simd {
+            // Two output rows share one pass over the gathered column;
+            // per-row accumulation order matches the scalar loop exactly
+            // (`dim` is even: k ≥ 2).
+            for (weights, pair) in lanes.chunks_exact(2 * dim).zip(offsets.chunks_exact(2)) {
+                let mut acc = F64x4([0.0; 4]);
+                for (w, amp) in weights.chunks_exact(2).zip(col.iter()) {
+                    let s = F64x4([amp.re, amp.im, amp.re, amp.im]);
+                    acc = acc.add(complex_mul_lanes(s, w[0], w[1]));
+                }
+                amps.write(base | pair[0], Complex::new(acc.0[0], acc.0[1]));
+                amps.write(base | pair[1], Complex::new(acc.0[2], acc.0[3]));
+            }
+        } else {
+            for (row, &offset) in mat.chunks_exact(dim).zip(offsets) {
+                let mut acc = Complex::ZERO;
+                for (value, amp) in row.iter().zip(col.iter()) {
+                    acc += *value * *amp;
+                }
+                amps.write(base | offset, acc);
+            }
+        }
+        // The next index with every operand bit clear.
+        base = ((base | mask) + 1) & !mask;
     }
 }
 
@@ -904,9 +1031,9 @@ fn diagonal_kernel(factors: Vec<Complex>, qubits: Vec<usize>) -> Kernel {
 }
 
 /// Precomputes the traversal form of a dense kernel over `qubits` (operand
-/// order = matrix bit order): the sorted bit list used to expand base
-/// indices, and the `2^k` index offsets of the gathered block.
-fn dense_layout(qubits: &[usize]) -> (Vec<usize>, Vec<usize>) {
+/// order = matrix bit order): the mask of its bits, clear in every base
+/// index, and the `2^k` index offsets of the gathered block.
+fn dense_layout(qubits: &[usize]) -> (usize, Vec<usize>) {
     let dim = 1usize << qubits.len();
     let mut offsets = vec![0usize; dim];
     for (j, offset) in offsets.iter_mut().enumerate() {
@@ -916,9 +1043,7 @@ fn dense_layout(qubits: &[usize]) -> (Vec<usize>, Vec<usize>) {
             }
         }
     }
-    let mut sorted = qubits.to_vec();
-    sorted.sort_unstable();
-    (sorted, offsets)
+    (offsets[dim - 1], offsets)
 }
 
 /// One phase of a planned kernel pass. Consecutive kernels whose qubit-bit
@@ -985,13 +1110,9 @@ impl PhasePlan {
             }
             PhasePlan::Tiles { bits, spread, local } => {
                 let tile_len = 1usize << bits.len();
-                // Insert a 0 at each tile bit (ascending) to get the base
-                // index of tile `unit` — the bit-insertion expansion used
-                // by the controlled kernel.
-                let mut base = unit;
-                for &b in bits {
-                    base = ((base >> b) << (b + 1)) | (base & ((1usize << b) - 1));
-                }
+                // Insert a 0 at each tile bit to get the base index of
+                // tile `unit`.
+                let base = insert_zeros(unit, spread[tile_len - 1]);
                 let block = &mut tile[..tile_len];
                 for (j, slot) in block.iter_mut().enumerate() {
                     *slot = amps.read(base | spread[j]);
@@ -1088,7 +1209,7 @@ fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelCon
     let chunk_len = config.chunk_len();
     let threads = config.effective_threads(len);
     let simd = config.simd;
-    let scratch_dim = kernels.iter().map(Kernel::dim).max().unwrap_or(1);
+    let scratch_dim = kernels.iter().map(Kernel::scratch_len).max().unwrap_or(0);
     if kernels.is_empty() {
         return 0;
     }
@@ -1212,11 +1333,13 @@ pub(crate) struct Evolved {
     /// Phases applied tile by tile: none for a state that fits in one
     /// chunk.
     pub(crate) tiled: usize,
+    /// The lane build the kernels ran in ([`crate::simd::lane_isa`]).
+    pub(crate) lanes: &'static str,
 }
 
 impl std::fmt::Display for Evolved {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fused={}/{} tiled={}", self.ops, self.gates, self.tiled)
+        write!(f, "fused={}/{} tiled={} lanes={}", self.ops, self.gates, self.tiled, self.lanes)
     }
 }
 
@@ -1250,7 +1373,7 @@ pub(crate) fn evolve_fused(
     let mut kernels = Vec::with_capacity(ops);
     lower_program(program.as_ref(), gates, 0, false, &mut kernels)?;
     let tiled = apply_kernels(amps, &kernels, config);
-    Ok(Evolved { gates: gates.len(), ops, tiled })
+    Ok(Evolved { gates: gates.len(), ops, tiled, lanes: lane_isa(config.simd) })
 }
 
 /// Applies a fused program two-sidedly to a flat density matrix
@@ -1718,16 +1841,24 @@ mod tests {
         amps.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
     }
 
-    #[test]
-    fn every_butterfly_shape_matches_the_reference_with_simd_equal_to_scalar() {
-        let (n, chunk_qubits) = (7usize, 4usize);
-        // Target bit 0 (the in-pair lanes), bit 1, both sides of the tile
-        // boundary, and the top bit.
-        let targets = [0usize, 1, chunk_qubits - 1, chunk_qubits, n - 1];
+    /// One butterfly case: a shape's name, its target and controls, and
+    /// the controlled matrix on its operands.
+    struct ButterflyCase {
+        name: &'static str,
+        t: usize,
+        controls: Vec<usize>,
+        matrix: Matrix,
+        qubits: Vec<usize>,
+    }
+
+    /// Every butterfly shape on target bit 0 (the in-pair lanes), bit 1,
+    /// both sides of the tile boundary and the top bit of an `n`-qubit
+    /// state, each with no control, one control below or above the
+    /// target, and two controls on either side.
+    fn butterfly_cases(n: usize, chunk_qubits: usize) -> Vec<ButterflyCase> {
+        let mut cases = Vec::new();
         for (name, block) in shapes() {
-            for &t in &targets {
-                // No control, one control below or above the target, and
-                // two controls on either side.
+            for t in [0usize, 1, chunk_qubits - 1, chunk_qubits, n - 1] {
                 let others: Vec<usize> = (0..n).filter(|&q| q != t).collect();
                 let control_sets: [Vec<usize>; 4] =
                     [vec![], vec![others[0]], vec![others[n - 2]], vec![others[1], others[n - 3]]];
@@ -1739,49 +1870,132 @@ mod tests {
                     // controlled_matrix puts each new control at bit 0.
                     let qubits: Vec<usize> =
                         controls.iter().rev().copied().chain(std::iter::once(t)).collect();
-                    let kernel = Kernel::lower(&matrix, &qubits, 0, false);
-                    let b = match &kernel {
-                        Kernel::OneQ { b, .. } | Kernel::Controlled { b, .. } => b,
-                        _ => panic!("{name}: a 2×2 block lowers to a butterfly"),
-                    };
-                    assert_eq!(shape_of(b), name, "target {t}, controls {controls:?}");
-                    let context = format!("{name}, target {t}, controls {controls:?}");
-                    let start = random_amps(n, 31 + t as u64);
-                    let mut expect = start.clone();
-                    qukit_terra::reference::apply_gate(&mut expect, &matrix, &qubits);
-                    let mut scalar = start.clone();
-                    kernel.apply(&mut scalar, false);
-                    let mut lanes = start.clone();
-                    kernel.apply(&mut lanes, true);
-                    assert_eq!(bits_of(&lanes), bits_of(&scalar), "{context}: SIMD vs scalar");
-                    for (got, want) in scalar.iter().zip(&expect) {
-                        assert!((*got - *want).norm() < 1e-12, "{context}: {got:?} vs {want:?}");
-                    }
-                    // The same kernel in a blocked phase with a gate on
-                    // another qubit, tiled at the boundary, scalar and SIMD,
-                    // one and two workers: bit-identical to applying the
-                    // three kernels one after another.
-                    let h = Kernel::lower(&Gate::H.matrix(), &[others[2]], 0, false);
-                    let kernels = [kernel.clone(), h.clone(), kernel.clone()];
-                    let mut sequential = start.clone();
-                    for k in &kernels {
-                        k.apply(&mut sequential, true);
-                    }
-                    for threads in [1usize, 2] {
-                        for simd in [false, true] {
-                            let config =
-                                ParallelConfig { threads, chunk_qubits, fusion: true, simd };
-                            let mut planned = start.clone();
-                            apply_kernels(&mut planned, &kernels, &config);
-                            assert_eq!(
-                                bits_of(&planned),
-                                bits_of(&sequential),
-                                "{context}: planned, threads {threads}, simd {simd}"
-                            );
-                        }
-                    }
+                    cases.push(ButterflyCase { name, t, controls, matrix, qubits });
                 }
             }
+        }
+        cases
+    }
+
+    #[test]
+    fn every_butterfly_shape_matches_the_reference_with_simd_equal_to_scalar() {
+        let (n, chunk_qubits) = (7usize, 4usize);
+        for ButterflyCase { name, t, controls, matrix, qubits } in butterfly_cases(n, chunk_qubits)
+        {
+            let others: Vec<usize> = (0..n).filter(|&q| q != t).collect();
+            let kernel = Kernel::lower(&matrix, &qubits, 0, false);
+            let b = match &kernel {
+                Kernel::OneQ { b, .. } | Kernel::Controlled { b, .. } => b,
+                _ => panic!("{name}: a 2×2 block lowers to a butterfly"),
+            };
+            assert_eq!(shape_of(b), name, "target {t}, controls {controls:?}");
+            let context = format!("{name}, target {t}, controls {controls:?}");
+            let start = random_amps(n, 31 + t as u64);
+            let mut expect = start.clone();
+            qukit_terra::reference::apply_gate(&mut expect, &matrix, &qubits);
+            let mut scalar = start.clone();
+            kernel.apply(&mut scalar, false);
+            let mut lanes = start.clone();
+            kernel.apply(&mut lanes, true);
+            assert_eq!(bits_of(&lanes), bits_of(&scalar), "{context}: SIMD vs scalar");
+            for (got, want) in scalar.iter().zip(&expect) {
+                assert!((*got - *want).norm() < 1e-12, "{context}: {got:?} vs {want:?}");
+            }
+            // The same kernel in a blocked phase with a gate on
+            // another qubit, tiled at the boundary, scalar and SIMD,
+            // one and two workers: bit-identical to applying the
+            // three kernels one after another.
+            let h = Kernel::lower(&Gate::H.matrix(), &[others[2]], 0, false);
+            let kernels = [kernel.clone(), h.clone(), kernel.clone()];
+            let mut sequential = start.clone();
+            for k in &kernels {
+                k.apply(&mut sequential, true);
+            }
+            for threads in [1usize, 2] {
+                for simd in [false, true] {
+                    let config = ParallelConfig { threads, chunk_qubits, fusion: true, simd };
+                    let mut planned = start.clone();
+                    apply_kernels(&mut planned, &kernels, &config);
+                    assert_eq!(
+                        bits_of(&planned),
+                        bits_of(&sequential),
+                        "{context}: planned, threads {threads}, simd {simd}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A random `k`-qubit unitary: three layers of random U gates, each
+    /// followed by a CX when `k > 1`.
+    fn random_unitary(k: usize, rng: &mut StdRng) -> Matrix {
+        let mut circuit = QuantumCircuit::new(k);
+        for layer in 0..3 {
+            for q in 0..k {
+                let [a, b, c] = [0; 3].map(|_| rng.gen_range(-3.0..3.0));
+                circuit.append(Gate::U(a, b, c), &[q]).unwrap();
+            }
+            if k > 1 {
+                circuit.cx(layer % k, (layer + 1) % k).unwrap();
+            }
+        }
+        crate::simulator::UnitarySimulator::new().run(&circuit).unwrap()
+    }
+
+    /// `start` after `kernel` runs as one unit in the baseline lane build,
+    /// or with `avx2` in the AVX2 one.
+    fn apply_in_build(kernel: &Kernel, start: &[Complex], avx2: bool) -> Vec<Complex> {
+        let mut amps = start.to_vec();
+        let len = amps.len();
+        let raw = RawAmps { ptr: amps.as_mut_ptr() };
+        let mut scratch = vec![Complex::ZERO; kernel.scratch_len()];
+        // SAFETY: as in `Kernel::apply`; the caller asks for the AVX2 build
+        // only on a host that has AVX2.
+        unsafe {
+            if !avx2 {
+                kernel.apply_unit_body(&raw, len, len, 0, true, &mut scratch);
+            } else {
+                #[cfg(target_arch = "x86_64")]
+                kernel.apply_unit_avx2(&raw, len, len, 0, &mut scratch);
+            }
+        }
+        amps
+    }
+
+    #[test]
+    fn baseline_and_avx2_lane_builds_agree_bit_for_bit() {
+        if !crate::simd::avx2() {
+            eprintln!("skipped: this host has no AVX2, so only the baseline lane build runs");
+            return;
+        }
+        let (n, chunk_qubits) = (7usize, 4usize);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut kernels: Vec<(String, Kernel)> = butterfly_cases(n, chunk_qubits)
+            .into_iter()
+            .map(|case| {
+                let context =
+                    format!("{}, target {}, controls {:?}", case.name, case.t, case.controls);
+                (context, Kernel::lower(&case.matrix, &case.qubits, 0, false))
+            })
+            .collect();
+        let factors = (0..8).map(|_| Complex::cis(rng.gen_range(-3.0..3.0))).collect();
+        kernels.push(("diag".into(), Kernel::Diag { factors, qubits: vec![5, 0, 3] }));
+        // Dense blocks gather into fixed arrays at two and three qubits
+        // and into the scratch buffer at four.
+        for (k, qubits) in
+            [(2, vec![3, 1]), (2, vec![0, 6]), (3, vec![6, 2, 4]), (4, vec![1, 5, 0, 3])]
+        {
+            let kernel = Kernel::lower(&random_unitary(k, &mut rng), &qubits, 0, false);
+            assert!(matches!(kernel, Kernel::Dense { .. }), "a random unitary is dense");
+            kernels.push((format!("dense {qubits:?}"), kernel));
+        }
+        kernels.push(("dense swap".into(), Kernel::lower(&Gate::Swap.matrix(), &[2, 5], 0, false)));
+        for (seed, (context, kernel)) in kernels.iter().enumerate() {
+            let start = random_amps(n, 40 + seed as u64);
+            let baseline = apply_in_build(kernel, &start, false);
+            assert_ne!(bits_of(&baseline), bits_of(&start), "{context}: the kernel acts");
+            let avx2 = apply_in_build(kernel, &start, true);
+            assert_eq!(bits_of(&avx2), bits_of(&baseline), "{context}: AVX2 vs baseline");
         }
     }
 
@@ -1837,17 +2051,7 @@ mod tests {
         let mut cases: Vec<(Matrix, Vec<usize>)> = Vec::new();
         for k in 1..=3usize {
             for _ in 0..6 {
-                let mut circuit = QuantumCircuit::new(k);
-                for layer in 0..3 {
-                    for q in 0..k {
-                        let [a, b, c] = [0; 3].map(|_| rng.gen_range(-3.0..3.0));
-                        circuit.append(Gate::U(a, b, c), &[q]).unwrap();
-                    }
-                    if k > 1 {
-                        circuit.cx(layer % k, (layer + 1) % k).unwrap();
-                    }
-                }
-                let matrix = crate::simulator::UnitarySimulator::new().run(&circuit).unwrap();
+                let matrix = random_unitary(k, &mut rng);
                 let mut qubits: Vec<usize> = (0..n).collect();
                 for i in (1..n).rev() {
                     qubits.swap(i, rng.gen_range(0..=i));

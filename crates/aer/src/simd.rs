@@ -1,11 +1,18 @@
 //! Portable SIMD lanes for the statevector kernels.
 //!
 //! Stable-Rust "array of lanes" vectors: [`F64x4`] is a plain `[f64; 4]`
-//! whose elementwise operations are small `#[inline(always)]` loops, which
-//! LLVM reliably autovectorizes to one 256-bit (or two 128-bit) vector
-//! instruction per op on every mainstream target. One vector holds **two
-//! packed complex amplitudes** `[re₀, im₀, re₁, im₁]`, so a single lane op
-//! advances two amplitude pairs of a butterfly at once.
+//! whose elementwise operations are small `#[inline(always)]` loops that
+//! LLVM autovectorizes. One vector holds **two packed complex amplitudes**
+//! `[re₀, im₀, re₁, im₁]`, so a single lane op advances two amplitude
+//! pairs of a butterfly at once.
+//!
+//! What one op becomes depends on the ISA the code is compiled for. The
+//! default x86-64 target only guarantees SSE2, so there an [`F64x4`] op is
+//! two 128-bit instructions. The kernel body is therefore compiled twice,
+//! once for the baseline ISA and once with AVX2 enabled (one 256-bit
+//! instruction per op), and `Kernel::apply_unit` picks the AVX2 build when
+//! `avx2()` finds the host supports it. Other targets run the baseline
+//! build. [`lane_isa`] names the build a run uses.
 //!
 //! Two invariants make this layer safe to enable unconditionally:
 //!
@@ -18,7 +25,9 @@
 //!   same association, with `a - b` replaced only by the exactly-equal
 //!   `a + (-b)`. The scalar fallback selected by `QUKIT_SIMD=off` must
 //!   therefore produce bit-identical amplitudes — a property the
-//!   `parallel_equivalence` suite checks on 200 random circuits.
+//!   `parallel_equivalence` suite checks on 200 random circuits. Neither
+//!   build enables FMA: a fused multiply-add rounds once where the scalar
+//!   code rounds twice, so it would break this.
 
 use qukit_terra::complex::Complex;
 use std::sync::OnceLock;
@@ -122,6 +131,30 @@ pub fn simd_default() -> bool {
         Ok(value) => crate::parallel::parse_bool_flag(&value).unwrap_or(true),
         Err(_) => true,
     })
+}
+
+/// Whether the host supports AVX2, detected once per process; always
+/// false off x86-64.
+#[inline]
+pub(crate) fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVX2: OnceLock<bool> = OnceLock::new();
+        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The lane build a kernel pass runs in on this host: `avx2`, `baseline`
+/// (the target's default ISA), or `off` when `simd` is unset and the
+/// scalar oracle runs.
+pub fn lane_isa(simd: bool) -> &'static str {
+    match (simd, avx2()) {
+        (false, _) => "off",
+        (true, true) => "avx2",
+        (true, false) => "baseline",
+    }
 }
 
 #[cfg(test)]

@@ -137,9 +137,10 @@ impl QasmSimulator {
     /// random decisions share one evolution, with the counts a
     /// shot-by-shot replay gives. The `aer.qasm_run` span records which
     /// path ran; for a sampled run, how many operations fusion made of the
-    /// gates and how many phases ran tile by tile (`fused=<ops>/<gates>
-    /// tiled=<phases>`); for trajectories, why and how many distinct
-    /// trajectories (`trajectories=<leaves>`) were evolved.
+    /// gates, how many phases ran tile by tile and which lane build ran
+    /// the kernels (`fused=<ops>/<gates> tiled=<phases> lanes=<isa>`); for
+    /// trajectories, why and how many distinct trajectories
+    /// (`trajectories=<leaves>`) were evolved.
     ///
     /// # Errors
     ///
@@ -400,7 +401,7 @@ impl StatevectorSimulator {
             qubits = circuit.num_qubits(),
             threads = self.config.threads,
             fusion = if self.config.fusion { "on" } else { "off" },
-            simd = if self.config.simd { "on" } else { "off" },
+            lanes = crate::simd::lane_isa(self.config.simd),
         );
         qukit_obs::counter_inc("qukit_aer_statevector_runs_total");
         parallel::evolve_unitary(circuit, &self.config, "statevector simulator")

@@ -3,15 +3,18 @@
 //! `mode=trajectory` with a `reason` naming the first instruction that
 //! forced per-shot execution. A dense trajectory run also records
 //! `trajectories=<n>`, the shot-tree leaves it evolved, and a dense
-//! sampled run `fused=<ops>/<gates> tiled=<phases>`, what fusion made of
-//! its gates and how many phases ran tile by tile.
+//! sampled run `fused=<ops>/<gates> tiled=<phases> lanes=<isa>`, what
+//! fusion made of its gates, how many phases ran tile by tile and which
+//! lane build (`avx2`, `baseline` or `off`) ran the kernels. The
+//! `aer.statevector_run` span records `lanes=<isa>` too.
 //!
 //! A single `#[test]` in its own binary: it toggles the process-global
 //! recorder, which would race any test sharing the process.
 
 use qukit_aer::noise::NoiseModel;
 use qukit_aer::parallel::ParallelConfig;
-use qukit_aer::simulator::QasmSimulator;
+use qukit_aer::simd::lane_isa;
+use qukit_aer::simulator::{QasmSimulator, StatevectorSimulator};
 use qukit_aer::stabilizer::StabilizerSimulator;
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::gate::Gate;
@@ -69,8 +72,9 @@ fn check(circuit: &QuantumCircuit, noise: Option<NoiseModel>, expected: &str) {
                 // Dense sampled runs record what fusion and tiling did.
                 Some((decision, fused)) => {
                     assert!(span == "aer.qasm_run" && expected == "mode=sampled");
-                    let (ops, gates, _) = parse_fused(fused);
+                    let (ops, gates, _, lanes) = parse_fused(fused);
                     assert!((1..=gates).contains(&ops), "{span}: {ops} ops for {gates} gates");
+                    assert_eq!(lanes, lane_isa(ParallelConfig::from_env().simd), "{span}");
                     decision
                 }
                 None => {
@@ -89,13 +93,14 @@ fn check(circuit: &QuantumCircuit, noise: Option<NoiseModel>, expected: &str) {
     }
 }
 
-/// `(ops, gates, tiled)` from the `<ops>/<gates> tiled=<phases>` that
-/// follows `fused=`.
-fn parse_fused(fused: &str) -> (usize, usize, usize) {
-    let (ratio, tiled) = fused.split_once(" tiled=").expect("tiled phases");
+/// `(ops, gates, tiled, lanes)` from the `<ops>/<gates> tiled=<phases>
+/// lanes=<isa>` that follows `fused=`.
+fn parse_fused(fused: &str) -> (usize, usize, usize, &str) {
+    let (ratio, rest) = fused.split_once(" tiled=").expect("tiled phases");
+    let (tiled, lanes) = rest.split_once(" lanes=").expect("lane build");
     let (ops, gates) = ratio.split_once('/').expect("ops/gates");
     let number = |text: &str| text.parse::<usize>().expect("a count");
-    (number(ops), number(gates), number(tiled))
+    (number(ops), number(gates), number(tiled), lanes)
 }
 
 /// What a sampled run of `circuit` at the default chunk size records
@@ -111,7 +116,23 @@ fn fused_of(circuit: &QuantumCircuit) -> (usize, usize, usize) {
     let detail = detail_of("aer.qasm_run", context);
     let (decision, fused) = detail.rsplit_once(" fused=").expect("sampled run");
     assert!(decision.ends_with("mode=sampled"), "{detail}");
-    parse_fused(fused)
+    let (ops, gates, tiled, lanes) = parse_fused(fused);
+    assert_eq!(lanes, lane_isa(true), "{detail}");
+    (ops, gates, tiled)
+}
+
+/// The lane build the `aer.statevector_run` span of a run with `simd`
+/// lanes records.
+fn statevector_lanes(circuit: &QuantumCircuit, simd: bool) -> String {
+    let context = qukit_obs::TraceContext::mint();
+    {
+        let _guard = context.attach();
+        let config = ParallelConfig { simd, ..ParallelConfig::with_threads(1) };
+        StatevectorSimulator::with_config(config).run(circuit).expect("unitary run");
+    }
+    let detail = detail_of("aer.statevector_run", context);
+    let (_, lanes) = detail.split_once("lanes=").expect("lane build");
+    lanes.split_whitespace().next().expect("a lane build name").to_owned()
 }
 
 /// A layer of H on every qubit, a CX ladder and a measure of every qubit.
@@ -235,6 +256,20 @@ fn run_spans_record_the_sampled_or_trajectory_decision_and_its_reason() {
     let (_, gates, tiled) = fused_of(&ladder(20));
     assert_eq!(gates, 39);
     assert!(tiled > 0, "a 20-qubit state is tiled");
+
+    // The lane kernels run in their AVX2 build on a host that has AVX2,
+    // in the baseline build otherwise; with SIMD off the scalar oracle
+    // runs.
+    let mut bell = QuantumCircuit::new(2);
+    bell.h(0).unwrap();
+    bell.cx(0, 1).unwrap();
+    #[cfg(target_arch = "x86_64")]
+    let expected = if std::arch::is_x86_feature_detected!("avx2") { "avx2" } else { "baseline" };
+    #[cfg(not(target_arch = "x86_64"))]
+    let expected = "baseline";
+    assert_eq!(lane_isa(true), expected);
+    assert_eq!(statevector_lanes(&bell, true), expected);
+    assert_eq!(statevector_lanes(&bell, false), "off");
 
     // A 100-qubit GHZ, past any single-word qubit mask, is evolved once:
     // each of its 100 gates is applied to one tableau, not once per shot.
