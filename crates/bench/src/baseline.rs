@@ -38,6 +38,8 @@ pub struct BaselineConfig {
     pub repeats: usize,
     /// Thread counts swept by the `parallel_statevector[t=N]` engines on
     /// the wide (12-qubit) circuits. Empty disables the parallel sweep.
+    /// Defaults to [`thread_sweep`] up to the host's core count: more
+    /// workers than cores would only measure oversubscription.
     pub threads: Vec<usize>,
     /// Also run the 22–26-qubit statevector entries (`ghz_24`, `qft_22`,
     /// `qft_24`, `random_26x40`) on the parallel engine with SIMD on and
@@ -55,11 +57,26 @@ impl Default for BaselineConfig {
             seed: 7,
             collect_metrics: true,
             repeats: 5,
-            threads: vec![1, 2, 4, 8],
+            threads: thread_sweep(host_threads()),
             large_statevector: false,
             sweep_bindings: 64,
         }
     }
+}
+
+/// The cores this process may run on (1 when the host cannot say).
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The thread counts a sweep capped at `max_threads` visits: every power
+/// of two below the cap, then the cap itself.
+pub fn thread_sweep(max_threads: usize) -> Vec<usize> {
+    let mut threads: Vec<usize> = std::iter::successors(Some(1usize), |t| t.checked_mul(2))
+        .take_while(|t| *t < max_threads)
+        .collect();
+    threads.push(max_threads);
+    threads
 }
 
 /// One (circuit, engine) measurement.
@@ -91,11 +108,12 @@ pub struct Baseline {
 
 /// Builds one backend instance by name with the sweep seed applied.
 ///
-/// `parallel_statevector[t=N]` names the qasm simulator routed through
-/// the chunked/fused parallel kernels with `N` worker threads; the plain
-/// `qasm_simulator` is pinned to the serial legacy path so the
-/// serial-versus-parallel comparison is immune to `QUKIT_THREADS` in the
-/// measuring environment.
+/// `parallel_statevector[t=N]` names the qasm simulator with `N` worker
+/// threads and gate fusion on; the plain `qasm_simulator` is the same
+/// simulator with one thread and fusion off, fixed here so its entries
+/// do not depend on `QUKIT_THREADS` in the measuring environment. The
+/// names stay as they are so fresh runs compare against committed
+/// baselines.
 fn make_engine(name: &str, seed: u64) -> Box<dyn Backend> {
     use qukit::aer::parallel::ParallelConfig;
     use qukit::backend::{DdSimulatorBackend, FakeDevice, QasmSimulatorBackend, StabilizerBackend};
@@ -207,26 +225,24 @@ pub fn run_baseline(config: &BaselineConfig) -> Baseline {
         for engine_name in engines {
             let engine = make_engine(&engine_name, config.seed);
             let measured = prepared(&circuit);
-            let mut wall_seconds = f64::INFINITY;
-            let mut metrics = BTreeMap::new();
-            for _ in 0..config.repeats.max(1) {
+            // The engine is seeded, so every repeat samples the same counts
+            // and the last repeat's counts and metrics stand for all.
+            let (wall_seconds, (counts, scope)) = min_wall(config.repeats, || {
                 let scope = config.collect_metrics.then(qukit_obs::Scope::new);
                 let installed = scope.as_ref().map(qukit_obs::Scope::install);
-                let start = std::time::Instant::now();
                 let counts = engine.run(&measured, config.shots).expect("baseline run");
-                wall_seconds = wall_seconds.min(elapsed_seconds(start));
                 drop(installed);
-                assert_eq!(counts.total(), config.shots, "baseline runs sample every shot");
-                if let Some(scope) = scope {
-                    let snapshot = scope.snapshot();
-                    let mut flat: BTreeMap<String, f64> = BTreeMap::new();
-                    for (name, value) in &snapshot.counters {
-                        flat.insert(name.clone(), *value as f64);
-                    }
-                    for (name, value) in &snapshot.gauges {
-                        flat.insert(name.clone(), *value);
-                    }
-                    metrics = flat;
+                (counts, scope)
+            });
+            assert_eq!(counts.total(), config.shots, "baseline runs sample every shot");
+            let mut metrics = BTreeMap::new();
+            if let Some(scope) = scope {
+                let snapshot = scope.snapshot();
+                for (name, value) in &snapshot.counters {
+                    metrics.insert(name.clone(), *value as f64);
+                }
+                for (name, value) in &snapshot.gauges {
+                    metrics.insert(name.clone(), *value);
                 }
             }
             entries.push(BaselineEntry {
@@ -251,6 +267,21 @@ pub fn run_baseline(config: &BaselineConfig) -> Baseline {
 /// never flush to zero in the JSON document.
 fn elapsed_seconds(start: std::time::Instant) -> f64 {
     start.elapsed().as_nanos() as f64 / 1e9
+}
+
+/// Runs `run` `repeats` times (at least once) and returns the minimum
+/// wall time in seconds, far more stable than a single sample on a noisy
+/// machine, with the last repeat's output.
+pub fn min_wall<T>(repeats: usize, mut run: impl FnMut() -> T) -> (f64, T) {
+    let mut wall_seconds = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..repeats.max(1) {
+        let start = std::time::Instant::now();
+        let output = run();
+        wall_seconds = wall_seconds.min(elapsed_seconds(start));
+        last = Some(output);
+    }
+    (wall_seconds, last.expect("at least one repeat ran"))
 }
 
 /// Stamps each SIMD parallel-engine entry with `simd_speedup`: the ratio
@@ -292,7 +323,6 @@ fn transpiler_entries(config: &BaselineConfig) -> Vec<BaselineEntry> {
     use qukit::terra::coupling::CouplingMap;
     use qukit::terra::transpiler::{self, MapperKind, TranspileOptions};
 
-    let repeats = config.repeats.max(1);
     let mut entries = Vec::new();
     let suite = [
         ("qft_12".to_owned(), crate::qft(12)),
@@ -305,17 +335,14 @@ fn transpiler_entries(config: &BaselineConfig) -> Vec<BaselineEntry> {
             let mut options = TranspileOptions::for_device(CouplingMap::grid(3, 4));
             options.optimization_level = 1;
             options.mapper = mapper;
-            let mut wall_seconds = f64::INFINITY;
+            let (wall_seconds, result) = min_wall(config.repeats, || {
+                transpiler::transpile(circuit, &options).expect("baseline transpile")
+            });
             let mut metrics = BTreeMap::new();
-            for _ in 0..repeats {
-                let start = std::time::Instant::now();
-                let result = transpiler::transpile(circuit, &options).expect("baseline transpile");
-                wall_seconds = wall_seconds.min(elapsed_seconds(start));
-                if config.collect_metrics {
-                    metrics.insert("swaps_inserted".to_owned(), result.num_swaps as f64);
-                    metrics.insert("depth_out".to_owned(), result.circuit.depth() as f64);
-                    metrics.insert("gates_out".to_owned(), result.circuit.num_gates() as f64);
-                }
+            if config.collect_metrics {
+                metrics.insert("swaps_inserted".to_owned(), result.num_swaps as f64);
+                metrics.insert("depth_out".to_owned(), result.circuit.depth() as f64);
+                metrics.insert("gates_out".to_owned(), result.circuit.num_gates() as f64);
             }
             entries.push(BaselineEntry {
                 circuit: circuit_name.clone(),
@@ -339,7 +366,7 @@ fn transpiler_entries(config: &BaselineConfig) -> Vec<BaselineEntry> {
     let key = transpiler::cache::TranspileCache::key(circuit, &options);
     let mut cold = f64::INFINITY;
     let mut warm = f64::INFINITY;
-    for _ in 0..repeats {
+    for _ in 0..config.repeats.max(1) {
         cache.clear();
         let start = std::time::Instant::now();
         let result = transpiler::transpile(circuit, &options).expect("cold transpile");
@@ -779,6 +806,20 @@ mod tests {
         )
         .is_err());
         assert!(Baseline::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn default_thread_sweep_stays_within_the_host_cores() {
+        let threads = BaselineConfig::default().threads;
+        assert_eq!(threads.last(), Some(&host_threads()));
+        for (_, _, engines) in sweep(&threads, false) {
+            for (t, _) in engines.iter().filter_map(|e| parse_parallel_engine(e)) {
+                assert!(t <= host_threads(), "t={t} oversubscribes {} cores", host_threads());
+            }
+        }
+        assert_eq!(thread_sweep(8), [1, 2, 4, 8]);
+        assert_eq!(thread_sweep(6), [1, 2, 4, 6]);
+        assert_eq!(thread_sweep(1), [1]);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! # qukit-bench
 //!
-//! Shared workload generators for the benchmark harness that regenerates
-//! every figure and quantitative claim of *"IBM's Qiskit Tool Chain"*
-//! (DATE 2019). The bench targets live in `benches/` — one per
-//! figure/claim; see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for recorded results.
+//! Shared workload generators and the three modes of `qukit bench`:
+//! [`paper`] prints the table of every figure and quantitative
+//! claim of *"IBM's Qiskit Tool Chain"* (DATE 2019) recorded in
+//! `EXPERIMENTS.md` (`qukit bench --paper`), [`baseline`] records the
+//! JSON circuit×engine baseline, and [`load`] drives the multi-tenant
+//! job service. `DESIGN.md` holds the experiment index.
 
 pub mod baseline;
 pub mod load;
+pub mod paper;
 
 use qukit::terra::circuit::QuantumCircuit;
 use rand::rngs::StdRng;

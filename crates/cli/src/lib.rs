@@ -105,6 +105,7 @@ const USAGE: &str = "usage:
   qukit bench [--json] [--out FILE.json] [--shots N] [--seed N]
               [--threads N] [--repeats N] [--no-metrics]
               [--large] [--sweep-bindings N]
+  qukit bench --paper [--repeats N]
   qukit bench --load [--tenants N] [--jobs N] [--workers N]
               [--max-pending N] [--payloads N] [--shots N] [--seed N]
               [--pace-us N] [--json] [--out FILE.json] [--trace-out FILE]
@@ -116,10 +117,10 @@ coupling KIND is one of line, ring, full, or grid:RxC
 --threads N routes simulation through the parallel chunked/fused
 statevector kernels with N worker threads (run/jobs), or sweeps the
 parallel engine over power-of-two thread counts up to N (bench,
-default 8). `stats --compare` exits nonzero when any (circuit, engine)
-pair shared by the two baselines slowed down by more than the
-tolerance (default 0.25 = 25%); timings under the noise floor are
-never compared
+default: the host's core count). `stats --compare` exits nonzero when
+any (circuit, engine) pair shared by the two baselines slowed down by
+more than the tolerance (default 0.25 = 25%); timings under the noise
+floor are never compared
 
 run --sweep N turns every rotation angle in the circuit into a
 parameter and executes an N-point sweep (angles scaled from 1/N up to
@@ -169,6 +170,10 @@ either a metrics snapshot or a bench baseline with `qukit stats
 <file>.json`. `qukit bench` sweeps the fixed circuit suite across every
 capable engine and emits the qukit-bench-baseline/v1 document
 (--no-metrics skips per-entry metric collection for overhead runs).
+`qukit bench --paper` prints the EXPERIMENTS.md tables as markdown, one
+section per paper figure or claim; timing cells are the minimum of
+--repeats runs (default 3), every other cell is seeded and repeats
+exactly.
 `qukit bench --load` instead drives the multi-tenant load generator:
 --jobs submissions across --tenants sessions with --max-pending
 admission control and --payloads distinct circuits (repeats hit the
@@ -1010,9 +1015,31 @@ fn cmd_fuzz(rest: &[&String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 fn cmd_bench(rest: &[&String], out: &mut impl Write) -> Result<(), CliError> {
-    use qukit_bench::baseline::{run_baseline, BaselineConfig};
+    use qukit_bench::baseline::{run_baseline, thread_sweep, BaselineConfig};
     if flag_present(rest, "--load") {
         return bench_load(rest, out);
+    }
+    let repeats: usize = match flag_value(rest, "--repeats")? {
+        Some(v) => parse_number(v, "repeat count")?,
+        None => 3,
+    };
+    if flag_present(rest, "--paper") {
+        let mut args = rest.iter().map(|a| a.as_str());
+        while let Some(arg) = args.next() {
+            match arg {
+                "--paper" => {}
+                "--repeats" => {
+                    args.next();
+                }
+                other => {
+                    return Err(CliError::Usage(format!(
+                        "bench --paper takes only --repeats, not '{other}'"
+                    )))
+                }
+            }
+        }
+        write!(out, "{}", qukit_bench::paper::render(repeats))?;
+        return Ok(());
     }
     let shots: usize = match flag_value(rest, "--shots")? {
         Some(v) => parse_number(v, "shot count")?,
@@ -1022,23 +1049,15 @@ fn cmd_bench(rest: &[&String], out: &mut impl Write) -> Result<(), CliError> {
         Some(v) => parse_number(v, "seed")?,
         None => 7,
     };
-    let max_threads: usize = match flag_value(rest, "--threads")? {
+    let threads = match flag_value(rest, "--threads")? {
         Some(v) => {
             let n = parse_number(v, "thread count")?;
             if n == 0 {
                 return Err(CliError::Usage("--threads must be at least 1".to_owned()));
             }
-            n
+            thread_sweep(n)
         }
-        None => 8,
-    };
-    let mut threads: Vec<usize> = [1, 2, 4, 8].into_iter().filter(|t| *t <= max_threads).collect();
-    if !threads.contains(&max_threads) {
-        threads.push(max_threads);
-    }
-    let repeats: usize = match flag_value(rest, "--repeats")? {
-        Some(v) => parse_number(v, "repeat count")?,
-        None => 3,
+        None => BaselineConfig::default().threads,
     };
     let sweep_bindings: usize = match flag_value(rest, "--sweep-bindings")? {
         Some(v) => parse_number(v, "sweep binding count")?,
@@ -2136,6 +2155,14 @@ mod tests {
         assert!(baseline.entries[0].metrics.contains_key("service_p99_seconds"));
 
         assert!(matches!(run_err(&["bench", "--load", "--jobs", "0"]), CliError::Usage(_)));
+    }
+
+    #[test]
+    fn bench_paper_takes_only_repeats() {
+        for extra in ["--json", "--threads", "--large"] {
+            assert!(matches!(run_err(&["bench", "--paper", extra]), CliError::Usage(_)));
+        }
+        assert!(matches!(run_err(&["bench", "--paper", "--repeats", "x"]), CliError::Usage(_)));
     }
 
     #[test]

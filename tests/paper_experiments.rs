@@ -1,8 +1,8 @@
 //! One test per paper artifact — the executable form of EXPERIMENTS.md.
 //!
 //! Each test asserts the *shape* of the corresponding figure or claim of
-//! "IBM's Qiskit Tool Chain" (DATE 2019); the benchmarks in
-//! `crates/bench` regenerate the quantitative tables.
+//! "IBM's Qiskit Tool Chain" (DATE 2019); `qukit bench --paper`
+//! (`qukit_bench::paper`) prints the quantitative tables.
 
 use qukit_terra::circuit::{fig1_circuit, QuantumCircuit};
 use qukit_terra::coupling::CouplingMap;
